@@ -5,17 +5,26 @@ between resources".  OSPF floods link-state advertisements and then each
 router runs Dijkstra over the resulting link-state database.  Our
 topologies are static for the duration of a run, so the link-state
 database equals the topology and routing reduces to latency-weighted
-shortest paths — computed lazily per source and cached.
+shortest paths, cached per source.
 
 The cache is the hot data structure of the whole simulator: a 1000-node
 Case-2 run prices millions of messages, but only between a handful of
-distinct (scheduler, scheduler/resource) pairs, so per-source caching
-makes pricing O(1) amortized.
+distinct (scheduler, scheduler/resource) pairs, so caching makes pricing
+O(1) amortized.  Two kinds of entry share it:
+
+* **full tables** — one ``single_source`` sweep per source.  The grid
+  mapper donates one per scheduler site (see :meth:`Router.prime`), and
+  symmetric (fluid-mode) routing computes them on a miss;
+* **rows** — for every other source, a ``{dst: PathInfo}`` dict filled
+  one destination at a time by a target-bounded search that stops once
+  ``dst`` is settled.  A resource only ever talks to a few nearby
+  scheduler sites, so this settles a small part of the graph where a
+  full table would sweep all of it; the entries are bit-identical.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Union
 
 from ..topology.graph import Topology
 from ..topology.paths import PathInfo, single_source
@@ -35,9 +44,13 @@ class Router:
 
     def __init__(self, topo: Topology) -> None:
         self.topology = topo
-        self._cache: Dict[int, List[PathInfo]] = {}
+        #: source -> full table (a list indexed by destination) or row
+        #: (a dict keyed by destination).  Both answer ``[dst]``, which
+        #: is how :meth:`~repro.network.transport.Network.send` reads
+        #: it inline, falling back to :meth:`path_info` on a miss.
+        self.tables: Dict[int, Union[List[PathInfo], Dict[int, PathInfo]]] = {}
         #: When set, an uncached source may be priced from the
-        #: destination's cached table instead of running its own
+        #: destination's full table instead of running its own
         #: Dijkstra.  The topology is undirected, so shortest-path
         #: *latency* and *transmission factor* are symmetric; only the
         #: hop count of tie-broken equal-latency paths can differ.
@@ -56,14 +69,8 @@ class Router:
         exact ``single_source`` output for ``src`` — priming is a pure
         cache warm-up and cannot change any priced path.
         """
-        self._cache.setdefault(src, table)
-
-    def _table(self, src: int) -> List[PathInfo]:
-        table = self._cache.get(src)
-        if table is None:
-            table = single_source(self.topology, src)
-            self._cache[src] = table
-        return table
+        if type(self.tables.get(src)) is not list:
+            self.tables[src] = table
 
     def path_info(self, src: int, dst: int) -> PathInfo:
         """Return ``(latency, hops, transmission_factor)`` for src → dst.
@@ -74,11 +81,21 @@ class Router:
         """
         if src == dst:
             return (0.0, 0, 0.0)
-        if self.symmetric and src not in self._cache:
-            table = self._cache.get(dst)
-            if table is not None:
-                return table[src]
-        return self._table(src)[dst]
+        tables = self.tables
+        table = tables.get(src)
+        if table is None:
+            if self.symmetric:
+                reverse = tables.get(dst)
+                if type(reverse) is list:
+                    return reverse[src]
+                table = tables[src] = single_source(self.topology, src)
+                return table[dst]
+            table = tables[src] = {}
+        try:
+            return table[dst]
+        except KeyError:
+            info = table[dst] = single_source(self.topology, src, dst)
+            return info
 
     def transit_delay(self, src: int, dst: int, size: float) -> float:
         """End-to-end transit time of a ``size``-unit message src → dst."""
@@ -91,5 +108,6 @@ class Router:
 
     @property
     def cached_sources(self) -> int:
-        """Number of sources with a computed routing table (diagnostics)."""
-        return len(self._cache)
+        """Number of sources with cached routes, full or partial
+        (diagnostics)."""
+        return len(self.tables)

@@ -131,10 +131,13 @@ class Network:
             The transit delay that was applied (even for dropped
             messages, for symmetry in tests).
         """
+        size = message.size
+        kind = message.kind
         message.created_at = self.sim.now
         self.messages_sent += 1
-        self.payload_sent += message.size
-        if src_node == recipient.node:
+        self.payload_sent += size
+        dst_node = recipient.node
+        if src_node == dst_node:
             # Co-located handoff: transit over a zero-length path is
             # exactly 0.0 (`Router.path_info` returns zeros for
             # src == dst), so skip the router call on this hot path.
@@ -142,17 +145,23 @@ class Network:
             delay = 0.0
             hops = 0
         else:
-            latency, hops, factor = self.router.path_info(src_node, recipient.node)
-            delay = self.delay_scale * (latency + message.size * factor)
-        cell = self._traffic.get(message.kind)
+            # The router's cached table, read inline; a miss (uncached
+            # source or destination) goes through path_info, which
+            # fills the cache.
+            try:
+                latency, hops, factor = self.router.tables[src_node][dst_node]
+            except KeyError:
+                latency, hops, factor = self.router.path_info(src_node, dst_node)
+            delay = self.delay_scale * (latency + size * factor)
+        cell = self._traffic.get(kind)
         if cell is None:
-            cell = self._traffic[message.kind] = [0, 0.0, 0.0, 0]
+            cell = self._traffic[kind] = [0, 0.0, 0.0, 0]
         cell[0] += 1
-        cell[1] += message.size
-        cell[2] += message.size * hops
+        cell[1] += size
+        cell[2] += size * hops
         cell[3] += hops
         if self.latency_tap is not None:
-            self.latency_tap(message.kind, delay)
+            self.latency_tap(kind, delay)
         if (
             self.loss_probability > 0.0
             and _effective_kind(message) not in RELIABLE_KINDS

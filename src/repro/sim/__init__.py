@@ -2,15 +2,14 @@
 
 Public surface:
 
-* :class:`~repro.sim.kernel.Simulator` — the event loop (the
-  ``reference`` backend).
+* :class:`~repro.sim.kernel.Simulator` — the event loop and its
+  future-event list (the ``reference`` backend); scheduling returns an
+  opaque handle for :meth:`~repro.sim.kernel.Simulator.cancel`.
 * :class:`~repro.sim.fastkernel.FastSimulator` — the array-backed
   ``fast`` backend.
 * :mod:`~repro.sim.backend` — the :class:`KernelBackend` contract and
   registry (:func:`create_kernel` selects by name /
   ``REPRO_KERNEL_BACKEND``).
-* :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.EventQueue`
-  — scheduling primitives.
 * :class:`~repro.sim.entity.Entity` / :class:`~repro.sim.entity.MessageServer`
   — actor base classes.
 * :class:`~repro.sim.rng.RngHub` — deterministic named random streams.
@@ -25,7 +24,6 @@ from .backend import (
     resolve_backend,
 )
 from .entity import ChargeSink, Entity, MessageServer
-from .events import Event, EventQueue
 from .fastkernel import FastSimulator
 from .kernel import SimulationError, Simulator
 from .monitor import Counter, SeriesRecorder, Tally, TimeWeighted
@@ -36,8 +34,6 @@ __all__ = [
     "ChargeSink",
     "Counter",
     "Entity",
-    "Event",
-    "EventQueue",
     "FastSimulator",
     "KernelBackend",
     "MessageServer",

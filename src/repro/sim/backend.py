@@ -4,9 +4,10 @@ The simulation kernel is consumed through a narrow contract —
 :class:`KernelBackend` — with two registered implementations:
 
 ``reference``
-    :class:`~repro.sim.kernel.Simulator`, the original heap-of-Events
-    engine.  The semantics oracle: the conformance and differential
-    suites define correctness as "behaves exactly like reference".
+    :class:`~repro.sim.kernel.Simulator`, the binary-heap engine whose
+    ``[time, seq, fn, args]`` entries double as cancel handles.  The
+    semantics oracle: the conformance and differential suites define
+    correctness as "behaves exactly like reference".
 ``fast``
     :class:`~repro.sim.fastkernel.FastSimulator`, array-backed storage
     with a sorted-spine event store (see its module docstring).

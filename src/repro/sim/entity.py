@@ -219,8 +219,14 @@ class MessageServer(Entity):
     def _complete(self, message: Any, st: float) -> None:
         self.busy_time += st
         self.served += 1
-        if self.ledger is not None and st > 0.0:
-            self.ledger.charge(self.cost_category(message), st, self.cost_source(message))
+        ledger = self.ledger
+        if ledger is not None and st > 0.0:
+            # cost_source()'s interned tag, read inline; only a miss
+            # (first message of a kind, or no kind) takes the call
+            source = self._source_cache.get(getattr(message, "kind", None))
+            if source is None:
+                source = self.cost_source(message)
+            ledger.charge(self.cost_category(message), st, source)
         # React *before* pulling the next message so handlers observe a
         # consistent "just finished" state; any messages the handler sends
         # to self are queued behind already-waiting ones.

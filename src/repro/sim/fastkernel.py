@@ -8,8 +8,8 @@ million-pending-event scaling cases:
 
 * **Slot-indexed payload arrays.**  Callback and args live in parallel
   lists (``_fns`` / ``_argss``) indexed by a recycled slot number, with
-  free-list slot reuse as events fire or are cancelled.  No ``Event``
-  object is ever allocated: the only per-event allocation on the hot
+  free-list slot reuse as events fire or are cancelled.  No per-event
+  entry object is allocated: the only per-event allocation on the hot
   path is the ``(time, seq, slot)`` key tuple, which doubles as the
   cancellation handle.  ``_keys[slot]`` remembers which key currently
   owns each slot, so a stale handle (event fired, slot since reused)
@@ -43,8 +43,8 @@ Cancellation is lazy, exactly as in the reference backend: a cancelled
 event's key stays where it is (its slot's ``_fns`` entry becomes
 ``None``) until consumed or compacted away, and compaction triggers on
 the same "more than half dead, store non-trivial" policy — with the
-live count recounted during compaction, mirroring the reference
-queue's self-healing accounting.
+live count recounted during compaction, as the reference kernel
+resets its dead-entry count when it rebuilds its heap.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from .kernel import SimulationError
 
 __all__ = ["FastSimulator"]
 
-# Compaction policy (mirrors EventQueue): rebuild when the pending
-# store is non-trivial and more than half dead.
+# Compaction policy (the reference Simulator's): rebuild when the
+# pending store is non-trivial and more than half dead.
 _COMPACT_MIN = 64
 # Arrivals whose sorted position is within this many entries of the
 # spine's tail are insorted (cheap memmove); anything deeper goes to
@@ -76,7 +76,7 @@ class FastSimulator:
     Drop-in behavioural replacement for the reference
     :class:`~repro.sim.kernel.Simulator`; the only visible difference is
     the *type* of the scheduling handle (an opaque key tuple rather than
-    an :class:`~repro.sim.events.Event`), which contract code must treat
+    a ``[time, seq, fn, args]`` heap entry), which contract code must treat
     opaquely anyway — store it, compare it with ``is not None``, pass it
     to :meth:`cancel`.
     """
@@ -214,8 +214,8 @@ class FastSimulator:
         place*: ``run()`` holds local aliases, and cancellations
         arriving from inside a dispatched callback must not strand the
         dispatch loop on stale lists.  The live count is recounted from
-        the rebuilt stores rather than trusted — the same self-healing
-        accounting the reference queue's compaction performs.
+        the rebuilt stores rather than trusted, as the reference
+        kernel's compaction resets its dead-entry count.
         """
         fns = self._fns
         free_append = self._free.append

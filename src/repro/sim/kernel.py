@@ -6,24 +6,48 @@ engine.  All other subsystems (network transport, resources, schedulers,
 estimators, middleware, workload injection) are built as callbacks and
 entities driven by a single ``Simulator`` instance.
 
+The paper's simulator was written in Parsec, a parallel discrete-event
+simulation language.  We only need Parsec's *semantics* (timestamped
+events executed in nondecreasing time order, deterministic tie-breaking),
+not its parallel execution engine, so a sequential heap is an exact
+behavioural substitute for these experiments.
+
 Design notes
 ------------
 * Time is a ``float`` in abstract "time units", matching the paper (e.g.
   ``T_CPU = 700 time units``).
 * Events fire in ``(time, seq)`` order; ``seq`` is the scheduling order,
   which makes ties deterministic and runs reproducible.
+* The simulator owns its future-event list: a binary heap of mutable
+  ``[time, seq, fn, args]`` lists.  List comparison runs in C and the
+  unique ``seq`` guarantees ``fn`` is never compared.  The entry itself
+  is the opaque handle :meth:`Simulator.schedule` returns, so scheduling
+  allocates one list and nothing else.
+* Cancellation is *lazy*: :meth:`Simulator.cancel` sets the entry's
+  ``fn`` to ``None`` (dropping ``args``) and the dead entry is skipped
+  when it reaches the top of the heap.  Dispatch nulls ``fn`` the same
+  way, which is what makes cancelling a fired event a no-op.  Once dead
+  entries are more than half of a non-trivial heap, the heap is rebuilt
+  **in place** (``run()`` holds a local reference to it, possibly in a
+  nested call).
 * The kernel is intentionally tiny and allocation-light — the scalability
-  experiments execute millions of events, and per the HPC guidance we keep
-  the hot path (schedule/pop/dispatch) free of indirection.
+  experiments execute millions of events, so schedule/pop/dispatch are
+  inlined into :meth:`Simulator.schedule` and :meth:`Simulator.run`.
+  ``pending`` is derived from the heap size and the dead-entry count,
+  which only cancellation and discarding touch.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
-
-from .events import Event, EventQueue
+import math
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, List, Optional
 
 __all__ = ["Simulator", "SimulationError"]
+
+# Compaction policy: rebuild the heap once it holds more than this many
+# entries and more than half of them are cancelled.
+_COMPACT_MIN = 64
 
 
 class SimulationError(RuntimeError):
@@ -51,12 +75,16 @@ class Simulator:
     10.0
     """
 
-    __slots__ = ("_queue", "_now", "_seq", "_events_executed", "trace")
+    __slots__ = ("_heap", "now", "_seq", "_dead", "_events_executed", "trace")
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._queue = EventQueue()
-        self._now = float(start_time)
+        #: the future-event list: a heap of ``[time, seq, fn, args]``
+        self._heap: List[list] = []
+        #: current simulated time
+        self.now = float(start_time)
         self._seq = 0
+        # Cancelled entries still physically in the heap.
+        self._dead = 0
         self._events_executed = 0
         #: Optional callable ``(time, fn, args)`` invoked before each event
         #: executes.  Used by tests and debugging tools; ``None`` disables
@@ -64,27 +92,22 @@ class Simulator:
         self.trace: Optional[Callable[[float, Callable, tuple], None]] = None
 
     # ------------------------------------------------------------------
-    # Clock and counters
+    # Counters
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
+    def pending(self) -> int:
+        """Number of live (non-cancelled) events still queued."""
+        return len(self._heap) - self._dead
 
     @property
     def events_executed(self) -> int:
         """Number of events dispatched so far (cancelled events excluded)."""
         return self._events_executed
 
-    @property
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return len(self._queue)
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` to run ``delay`` time units from now.
 
         Parameters
@@ -100,47 +123,76 @@ class Simulator:
 
         Returns
         -------
-        Event
-            A handle that can be passed to :meth:`cancel`.
+        list
+            An opaque handle that can be passed to :meth:`cancel`.
 
         Raises
         ------
         SimulationError
-            If ``delay`` is negative or not finite.
+            If ``delay`` is negative or NaN.
+        ValueError
+            If ``fn`` is ``None`` (the kernel's mark of a dead entry).
         """
         if not (delay >= 0.0):  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        ev = Event(self._now + delay, self._seq, fn, args)
+        if fn is None:
+            raise ValueError("cannot schedule None: it marks cancelled events")
+        entry = [self.now + delay, self._seq, fn, args]
         self._seq += 1
-        self._queue.push(ev)
-        return ev
+        heappush(self._heap, entry)
+        return entry
 
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` at absolute simulated ``time``.
 
         Equivalent to ``schedule(time - now, ...)`` and subject to the same
         no-past rule.
         """
-        return self.schedule(time - self._now, fn, *args)
+        return self.schedule(time - self.now, fn, *args)
 
-    def cancel(self, event: Event) -> None:
+    def cancel(self, handle: list) -> None:
         """Cancel a previously scheduled event.
 
         Cancelling an event that already fired or was already cancelled is
         a no-op, which lets protocol code cancel timeout handles without
-        tracking whether they raced with delivery.
+        tracking whether they raced with delivery.  The callback and its
+        arguments are dropped at once, so a cancelled event pins nothing
+        while it waits to be discarded.
         """
-        self._queue.cancel(event)
+        if handle[2] is None:
+            return
+        handle[2] = None
+        handle[3] = ()
+        self._dead += 1
+        heap = self._heap
+        n = len(heap)
+        if n > _COMPACT_MIN and n - self._dead < n // 2:
+            # In place: run() may be iterating this very list object.
+            heap[:] = [entry for entry in heap if entry[2] is not None]
+            heapify(heap)
+            self._dead = 0
 
     # ------------------------------------------------------------------
     # Queue inspection (part of the KernelBackend contract)
     # ------------------------------------------------------------------
+    def _live_head(self) -> Optional[list]:
+        """The earliest live entry (left in place), discarding dead ones."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[2] is not None:
+                return entry
+            heappop(heap)
+            self._dead -= 1
+        return None
+
     def peek_time(self) -> Optional[float]:
         """Firing time of the earliest pending event, or ``None``.
 
         Does not advance the clock or dispatch anything.
         """
-        return self._queue.peek_time()
+        entry = self._live_head()
+        return None if entry is None else entry[0]
 
     def pop_until(self, limit: Optional[float] = None):
         """Remove and return the earliest pending ``(time, fn, args)``
@@ -150,16 +202,17 @@ class Simulator:
         pending event fires after ``limit`` or nothing is pending;
         ``limit=None`` means no horizon.  The clock, the trace hook, and
         ``events_executed`` are untouched: this is the dispatch-loop
-        primitive that ``run()`` is built on, exposed so the conformance
-        suite can pin its batching semantics for every backend.
+        primitive, exposed so the conformance suite can pin its batching
+        semantics for every backend.
         """
-        ev = self._queue.pop_until(limit)
-        if ev is None:
+        entry = self._live_head()
+        if entry is None or (limit is not None and entry[0] > limit):
             return None
-        fn, args = ev.fn, ev.args
-        ev.fn = None
-        ev.args = ()
-        return (ev.time, fn, args)
+        heappop(self._heap)
+        time, _, fn, args = entry
+        entry[2] = None
+        entry[3] = ()
+        return (time, fn, args)
 
     # ------------------------------------------------------------------
     # Execution
@@ -173,19 +226,9 @@ class Simulator:
             ``True`` if an event was executed, ``False`` if the queue was
             empty (the clock does not move in that case).
         """
-        try:
-            ev = self._queue.pop()
-        except IndexError:
+        if self._live_head() is None:
             return False
-        if ev.time > self._now:  # clock never runs backwards (see run())
-            self._now = ev.time
-        if self.trace is not None:
-            self.trace(ev.time, ev.fn, ev.args)  # type: ignore[arg-type]
-        fn, args = ev.fn, ev.args
-        ev.fn = None  # release references promptly
-        ev.args = ()
-        self._events_executed += 1
-        fn(*args)  # type: ignore[misc]
+        self.run(max_events=1)
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -207,28 +250,31 @@ class Simulator:
             (``0`` dispatches none).  Mainly a safety valve for runaway
             protocol loops in tests.
         """
-        if until is not None and until < self._now:
-            raise SimulationError(f"horizon {until} is before current time {self._now}")
+        if until is not None and until < self.now:
+            raise SimulationError(f"horizon {until} is before current time {self.now}")
         # The dispatch loop is the simulation's hottest path (millions of
-        # events per run): it pops each event straight off the heap with a
-        # single combined pop-within-horizon call (instead of a peek/pop
-        # pair) and dispatches inline (instead of a step() call per event).
-        budget = max_events if max_events is not None else -1
-        pop_until = self._queue.pop_until
-        while budget != 0:
-            ev = pop_until(until)
-            if ev is None:
+        # events per run): it pops the heap directly and dispatches
+        # inline.  A negative budget counts down forever.
+        horizon = math.inf if until is None else until
+        budget = -1 if max_events is None else max_events
+        heap = self._heap
+        while budget and heap:
+            entry = heappop(heap)
+            time, _, fn, args = entry
+            if fn is None:  # cancelled: discard and keep looking
+                self._dead -= 1
+                continue
+            if time > horizon:  # put it back: it fires on a later run
+                heappush(heap, entry)
                 break
-            if ev.time > self._now:  # clock never runs backwards
-                self._now = ev.time
+            entry[2] = None  # fired: a late cancel is a no-op
+            entry[3] = ()  # release references promptly
+            if time > self.now:  # clock never runs backwards
+                self.now = time
             if self.trace is not None:
-                self.trace(ev.time, ev.fn, ev.args)  # type: ignore[arg-type]
-            fn, args = ev.fn, ev.args
-            ev.fn = None  # release references promptly
-            ev.args = ()
+                self.trace(time, fn, args)
             self._events_executed += 1
-            fn(*args)  # type: ignore[misc]
-            if budget > 0:
-                budget -= 1
-        if until is not None and until > self._now:
-            self._now = until
+            fn(*args)
+            budget -= 1
+        if until is not None and until > self.now:
+            self.now = until

@@ -105,6 +105,17 @@ class Topology:
         """Return the link between ``u`` and ``v`` (KeyError if absent)."""
         return self._adj[u][v]
 
+    @property
+    def adjacency(self) -> List[Dict[int, Link]]:
+        """Per-node ``{neighbor: Link}`` dicts, indexed by node id.
+
+        The live internal structure, exposed read-only by convention so
+        shortest-path sweeps can walk ``adjacency[u].items()`` instead
+        of a :meth:`link` call per edge.  Iteration order equals
+        :meth:`neighbors`.
+        """
+        return self._adj
+
     def neighbors(self, u: int) -> Iterator[int]:
         """Iterate neighbor node ids of ``u``."""
         return iter(self._adj[u])

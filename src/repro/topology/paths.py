@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .graph import Topology
 
@@ -25,18 +25,29 @@ __all__ = ["single_source", "multi_source_nearest", "PathInfo"]
 PathInfo = Tuple[float, int, float]
 
 
-def single_source(topo: Topology, source: int) -> List[PathInfo]:
+def single_source(topo: Topology, source: int, target: Optional[int] = None):
     """Dijkstra from ``source`` minimizing latency.
+
+    Parameters
+    ----------
+    target:
+        If given, stop as soon as ``target`` is settled and return only
+        its entry.  A settled node's values are final (latencies are
+        positive), and the search up to that point is step for step the
+        full sweep's, so the entry is bit-identical to
+        ``single_source(topo, source)[target]``.
 
     Returns
     -------
-    list[PathInfo]
-        For every node ``v``: ``(latency, hops, transmission_factor)``
-        along the latency-shortest path from ``source`` to ``v``.
+    list[PathInfo] or PathInfo
+        Without ``target``, for every node ``v``: ``(latency, hops,
+        transmission_factor)`` along the latency-shortest path from
+        ``source`` to ``v``; with ``target``, that node's triple.
         Unreachable nodes (cannot happen for generated topologies, which
         are connected) get ``(inf, -1, inf)``.
     """
     n = topo.n_nodes
+    adj = topo.adjacency
     dist = [math.inf] * n
     hops = [-1] * n
     txf = [math.inf] * n
@@ -48,14 +59,19 @@ def single_source(topo: Topology, source: int) -> List[PathInfo]:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue  # stale entry
-        for v in topo.neighbors(u):
-            link = topo.link(u, v)
+        if u == target:
+            break
+        next_hops = hops[u] + 1
+        base_txf = txf[u]
+        for v, link in adj[u].items():
             nd = d + link.latency
             if nd < dist[v]:
                 dist[v] = nd
-                hops[v] = hops[u] + 1
-                txf[v] = txf[u] + 1.0 / link.bandwidth
+                hops[v] = next_hops
+                txf[v] = base_txf + 1.0 / link.bandwidth
                 heapq.heappush(heap, (nd, v))
+    if target is not None:
+        return (dist[target], hops[target], txf[target])
     return list(zip(dist, hops, txf))
 
 
@@ -77,6 +93,7 @@ def multi_source_nearest(
         ``nearest[v]`` — the source node id ``v`` is assigned to.
     """
     n = topo.n_nodes
+    adj = topo.adjacency
     dist = [math.inf] * n
     nearest = [-1] * n
     heap: List[Tuple[float, int, int]] = []
@@ -91,8 +108,8 @@ def multi_source_nearest(
         d, u, src = heapq.heappop(heap)
         if d > dist[u] or (d == dist[u] and nearest[u] != src):
             continue
-        for v in topo.neighbors(u):
-            nd = d + topo.link(u, v).latency
+        for v, link in adj[u].items():
+            nd = d + link.latency
             if nd < dist[v]:
                 dist[v] = nd
                 nearest[v] = src

@@ -8,8 +8,8 @@ cycles.  These tests pin that contract:
 * ``Simulator.run`` clock semantics, including the
   ``run(until=..., max_events=0)`` regression (the clock must land on
   ``until`` even when the budget dispatches nothing);
-* :class:`EventQueue` invariants under randomized interleaved
-  push / cancel / pop, across the compaction threshold;
+* the simulator's future-event list under randomized interleaved
+  schedule / cancel / pop, across the compaction threshold;
 * :class:`CostLedger` running F/G/H aggregates versus ``breakdown()``,
   and rejection of NaN/inf charges;
 * speculative ``anneal(width > 1)`` — identical budget accounting,
@@ -39,7 +39,6 @@ from repro.core import (
     ScalingPath,
     anneal,
 )
-from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 
 
@@ -105,106 +104,93 @@ class TestRunClockContract:
 
 
 # ---------------------------------------------------------------------------
-# EventQueue invariants under stress
+# Future-event list invariants under stress
 # ---------------------------------------------------------------------------
+
+def _noop(*_):
+    pass
+
 
 class TestEventQueueStress:
     def test_interleaved_push_cancel_pop_with_compaction(self):
         """Randomized workload crossing the compaction threshold.
 
-        Invariants checked continuously: ``len(queue)`` equals the
-        number of live events, pops come out in strictly increasing
+        Invariants checked continuously: ``pending`` equals the number
+        of live events, pops come out in strictly increasing
         ``(time, seq)`` order relative to the *remaining* schedule, and
         cancelled events never surface.
         """
         rng = random.Random(1234)
-        queue = EventQueue()
+        sim = Simulator()
         seq = 0
-        live = {}  # seq -> event
-        popped = []
+        live = {}  # seq -> (time, handle)
 
         for round_ in range(3000):
             action = rng.random()
             if action < 0.55 or not live:
-                ev = Event(rng.uniform(0.0, 100.0), seq, lambda: None, ())
-                queue.push(ev)
-                live[seq] = ev
+                t = rng.uniform(0.0, 100.0)
+                live[seq] = (t, sim.schedule_at(t, _noop, seq))
                 seq += 1
             elif action < 0.85:
-                victim = live.pop(rng.choice(list(live)))
-                victim.cancel()
-                queue.note_cancelled()
+                _, victim = live.pop(rng.choice(list(live)))
+                sim.cancel(victim)
             else:
-                ev = queue.pop()
-                assert not ev.cancelled
-                assert ev.fn is not None
-                assert ev.seq in live
+                t, fn, (s,) = sim.pop_until(None)
+                assert fn is _noop
+                assert s in live
                 # Earliest live event: nothing remaining may sort below it.
-                assert all(
-                    (ev.time, ev.seq) <= (other.time, other.seq)
-                    for other in live.values()
-                )
-                del live[ev.seq]
-                popped.append(ev)
-            assert len(queue) == len(live)
-            assert bool(queue) == bool(live)
+                assert all((t, s) <= (other, o) for o, (other, _) in live.items())
+                del live[s]
+            assert sim.pending == len(live)
 
         # Drain: remaining live events come out in exact (time, seq) order.
-        expected = sorted(live.values(), key=lambda e: (e.time, e.seq))
-        drained = [queue.pop() for _ in range(len(live))]
-        assert [(e.time, e.seq) for e in drained] == [
-            (e.time, e.seq) for e in expected
-        ]
-        assert len(queue) == 0
-        with pytest.raises(IndexError):
-            queue.pop()
+        expected = sorted((t, s) for s, (t, _) in live.items())
+        drained = [sim.pop_until(None) for _ in range(len(live))]
+        assert [(t, args[0]) for t, _, args in drained] == expected
+        assert sim.pending == 0
+        assert sim.pop_until(None) is None
 
     def test_mass_cancellation_triggers_compaction(self):
         """Cancel far more than half of a large heap and verify the
         physical heap shrank while behaviour is unchanged."""
-        queue = EventQueue()
-        events = [Event(float(i), i, lambda: None, ()) for i in range(500)]
-        for ev in events:
-            queue.push(ev)
-        for ev in events[:400]:
-            ev.cancel()
-            queue.note_cancelled()
-        assert len(queue) == 100
-        assert len(queue._heap) < 500  # compaction dropped dead entries
-        out = [queue.pop() for _ in range(100)]
-        assert [e.seq for e in out] == list(range(400, 500))
+        sim = Simulator()
+        handles = [sim.schedule(float(i), _noop, i) for i in range(500)]
+        for h in handles[:400]:
+            sim.cancel(h)
+        assert sim.pending == 100
+        assert len(sim._heap) < 500  # compaction dropped dead entries
+        out = [sim.pop_until(None) for _ in range(100)]
+        assert [args[0] for _, _, args in out] == list(range(400, 500))
 
     def test_pop_until_respects_horizon(self):
-        queue = EventQueue()
+        sim = Simulator()
         for i in range(10):
-            queue.push(Event(float(i), i, lambda: None, ()))
+            sim.schedule(float(i), _noop)
         early = []
         while True:
-            ev = queue.pop_until(4.0)
-            if ev is None:
+            item = sim.pop_until(4.0)
+            if item is None:
                 break
-            early.append(ev.time)
+            early.append(item[0])
         assert early == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert len(queue) == 5  # the rest stayed queued
-        assert queue.pop_until(None).time == 5.0
+        assert sim.pending == 5  # the rest stayed queued
+        assert sim.pop_until(None)[0] == 5.0
 
     def test_pop_until_discards_cancelled_head_beyond_horizon(self):
-        queue = EventQueue()
-        dead = Event(8.0, 0, lambda: None, ())
-        queue.push(dead)
-        queue.push(Event(9.0, 1, lambda: None, ()))
-        dead.cancel()
-        queue.note_cancelled()
-        assert queue.pop_until(5.0) is None  # live head is beyond horizon
-        ev = queue.pop_until(None)
-        assert (ev.time, ev.seq) == (9.0, 1)
-        assert queue.pop_until(None) is None  # empty queue
+        sim = Simulator()
+        dead = sim.schedule(8.0, _noop, 0)
+        sim.schedule(9.0, _noop, 1)
+        sim.cancel(dead)
+        assert sim.pop_until(5.0) is None  # live head is beyond horizon
+        time, _, args = sim.pop_until(None)
+        assert (time, args) == (9.0, (1,))
+        assert sim.pop_until(None) is None  # empty queue
 
     def test_pop_until_ties_respect_seq_order(self):
-        queue = EventQueue()
+        sim = Simulator()
         for s in range(5):
-            queue.push(Event(1.0, s, lambda: None, ()))
-        order = [queue.pop_until(1.0).seq for _ in range(5)]
+            sim.schedule(1.0, _noop, s)
+        order = [sim.pop_until(1.0)[2][0] for _ in range(5)]
         assert order == [0, 1, 2, 3, 4]
 
 

@@ -87,7 +87,6 @@ MODULES = PACKAGES + [
     "repro.rms.syi",
     "repro.sim.backend",
     "repro.sim.entity",
-    "repro.sim.events",
     "repro.sim.fastkernel",
     "repro.sim.kernel",
     "repro.sim.monitor",

@@ -1,184 +1,235 @@
-"""Unit and property tests for the event queue primitives."""
+"""Unit and property tests for the simulator's future-event list.
+
+The heap lives inside :class:`~repro.sim.kernel.Simulator`: entries are
+``[time, seq, fn, args]`` lists, the entry is the cancel handle, and
+cancellation is lazy with in-place compaction.  These tests pin that
+behaviour through the public kernel surface (``schedule``/``cancel``/
+``pop_until``/``peek_time``/``run`` and the ``pending``/
+``events_executed`` counters).
+"""
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.kernel import Simulator
 
 
-def make_event(time, seq):
-    return Event(time, seq, lambda: None, ())
+def noop(*_):
+    pass
+
+
+def drain(sim):
+    """Pop every pending event without dispatching: ``[(time, args)]``."""
+    out = []
+    while True:
+        item = sim.pop_until(None)
+        if item is None:
+            return out
+        out.append((item[0], item[2]))
 
 
 class TestEventOrdering:
     def test_earlier_time_wins(self):
-        assert make_event(1.0, 5) < make_event(2.0, 0)
+        sim = Simulator()
+        sim.schedule(2.0, noop, "late")
+        sim.schedule(1.0, noop, "early")
+        assert drain(sim) == [(1.0, ("early",)), (2.0, ("late",))]
 
     def test_seq_breaks_ties(self):
-        assert make_event(1.0, 0) < make_event(1.0, 1)
-        assert not (make_event(1.0, 1) < make_event(1.0, 0))
+        sim = Simulator()
+        for tag in range(5):
+            sim.schedule(1.0, noop, tag)
+        assert [args for _, args in drain(sim)] == [(i,) for i in range(5)]
 
     def test_cancel_is_idempotent(self):
-        ev = make_event(1.0, 0)
-        assert not ev.cancelled
-        ev.cancel()
-        assert ev.cancelled
-        ev.cancel()
-        assert ev.cancelled
+        sim = Simulator()
+        fired = []
+        h = sim.schedule(1.0, fired.append, "x")
+        sim.cancel(h)
+        assert sim.pending == 0
+        sim.cancel(h)
+        assert sim.pending == 0
+        sim.run()
+        assert fired == []
+        assert sim.events_executed == 0
 
     def test_cancel_drops_references(self):
-        payload = object()
-        ev = Event(1.0, 0, lambda x: None, (payload,))
-        ev.cancel()
-        assert ev.args == ()
-        assert ev.fn is None
+        class Payload:
+            pass
+
+        sim = Simulator()
+        payload = Payload()
+        ref = weakref.ref(payload)
+        handle = sim.schedule(1.0, noop, payload)
+        del payload
+        sim.cancel(handle)
+        gc.collect()
+        # The handle (and the dead heap entry) are still alive, but
+        # neither pins the callback's arguments any more.
+        assert ref() is None
+        assert sim.pending == 0
 
 
 class TestEventQueue:
     def test_pop_in_time_order(self):
-        q = EventQueue()
-        for t, s in [(3.0, 0), (1.0, 1), (2.0, 2)]:
-            q.push(make_event(t, s))
-        times = [q.pop().time for _ in range(3)]
-        assert times == [1.0, 2.0, 3.0]
+        sim = Simulator()
+        for t in (3.0, 1.0, 2.0):
+            sim.schedule(t, noop)
+        assert [t for t, _ in drain(sim)] == [1.0, 2.0, 3.0]
 
-    def test_pop_empty_raises(self):
-        q = EventQueue()
-        with pytest.raises(IndexError):
-            q.pop()
+    def test_pop_empty_returns_none(self):
+        sim = Simulator()
+        assert sim.pop_until(None) is None
+        assert sim.step() is False
+        assert sim.now == 0.0
 
     def test_len_tracks_live_events(self):
-        q = EventQueue()
-        evs = [make_event(float(i), i) for i in range(4)]
-        for ev in evs:
-            q.push(ev)
-        assert len(q) == 4
-        evs[0].cancel()
-        q.note_cancelled()
-        assert len(q) == 3
-        assert bool(q)
+        sim = Simulator()
+        handles = [sim.schedule(float(i), noop) for i in range(4)]
+        assert sim.pending == 4
+        sim.cancel(handles[0])
+        assert sim.pending == 3
 
     def test_cancelled_events_are_skipped(self):
-        q = EventQueue()
-        evs = [make_event(float(i), i) for i in range(5)]
-        for ev in evs:
-            q.push(ev)
-        for ev in evs[:3]:
-            ev.cancel()
-            q.note_cancelled()
-        assert q.pop().time == 3.0
-        assert q.pop().time == 4.0
+        sim = Simulator()
+        handles = [sim.schedule(float(i), noop) for i in range(5)]
+        for h in handles[:3]:
+            sim.cancel(h)
+        assert [t for t, _ in drain(sim)] == [3.0, 4.0]
 
     def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        a = make_event(1.0, 0)
-        b = make_event(2.0, 1)
-        q.push(a)
-        q.push(b)
-        a.cancel()
-        q.note_cancelled()
-        assert q.peek_time() == 2.0
+        sim = Simulator()
+        a = sim.schedule(1.0, noop)
+        sim.schedule(2.0, noop)
+        sim.cancel(a)
+        assert sim.peek_time() == 2.0
+        assert sim.pending == 1
 
     def test_peek_time_empty(self):
-        assert EventQueue().peek_time() is None
+        assert Simulator().peek_time() is None
 
     def test_compaction_preserves_survivors(self):
-        q = EventQueue()
-        evs = [make_event(float(i), i) for i in range(200)]
-        for ev in evs:
-            q.push(ev)
-        # Cancel all even-seq events: more than half after a while,
-        # triggering the O(n) compaction path.
-        for ev in evs[:150]:
-            ev.cancel()
-            q.note_cancelled()
-        popped = []
-        while q:
-            popped.append(q.pop().time)
-        assert popped == [float(i) for i in range(150, 200)]
+        sim = Simulator()
+        handles = [sim.schedule(float(i), noop, i) for i in range(200)]
+        # Cancelling 150 of 200 crosses the "more than half dead"
+        # threshold, triggering the O(n) in-place compaction.
+        for h in handles[:150]:
+            sim.cancel(h)
+        assert len(sim._heap) < 200
+        assert sim.pending == 50
+        assert [t for t, _ in drain(sim)] == [float(i) for i in range(150, 200)]
 
 
 class TestCancellationAccounting:
-    """Regression tests for the live-count drift bug.
+    """Regression tests for live-count drift.
 
-    Historically, ``event.cancel()`` + ``note_cancelled()`` could
-    double-decrement the live count (cancel an event twice, note twice),
-    driving ``_live`` negative and suppressing compaction forever.  The
-    fixes: :meth:`EventQueue.cancel` is the idempotent entry point,
-    :meth:`EventQueue.push` rejects dead events, and compaction recounts
-    ``_live`` from the rebuilt heap instead of trusting the counter.
+    Historically a double cancel could double-decrement the live count,
+    suppressing compaction forever.  Cancel is now idempotent (a dead or
+    fired entry has ``fn`` set to ``None`` and is refused), the kernel
+    refuses to schedule a dead entry, and compaction recounts from the
+    rebuilt heap.
     """
 
     def test_queue_cancel_is_idempotent(self):
-        q = EventQueue()
-        ev = make_event(1.0, 0)
-        q.push(ev)
-        assert q.cancel(ev) is True
-        assert len(q) == 0
-        # Second cancel: already dead — refused, count untouched.
-        assert q.cancel(ev) is False
-        assert len(q) == 0
+        sim = Simulator()
+        h = sim.schedule(1.0, noop)
+        sim.cancel(h)
+        assert sim.pending == 0
+        sim.cancel(h)
+        assert sim.pending == 0
+        assert sim.peek_time() is None
 
     def test_queue_cancel_after_pop_is_refused(self):
-        q = EventQueue()
-        ev = make_event(1.0, 0)
-        q.push(ev)
-        popped = q.pop()
-        assert popped is ev
-        # A fired event was already removed from the live count; a late
-        # cancel must not decrement it again.
-        ev.cancel()
-        assert q.cancel(ev) is False
-        assert len(q) == 0
+        sim = Simulator()
+        popped = sim.schedule(1.0, noop)
+        fired = sim.schedule(2.0, noop)
+        keep = sim.schedule(3.0, noop)
+        assert sim.pop_until(None)[0] == 1.0
+        sim.run(max_events=1)
+        assert (sim.pending, sim.events_executed) == (1, 1)
+        # Entries already removed from the heap: a late cancel must not
+        # touch the live count or the dispatch count.
+        sim.cancel(popped)
+        sim.cancel(fired)
+        assert (sim.pending, sim.events_executed) == (1, 1)
+        sim.run()
+        assert (sim.pending, sim.events_executed) == (0, 2)
+        sim.cancel(keep)
+        assert (sim.pending, sim.events_executed) == (0, 2)
 
     def test_push_of_dead_event_raises(self):
-        q = EventQueue()
-        ev = make_event(1.0, 0)
-        ev.cancel()
+        sim = Simulator()
         with pytest.raises(ValueError):
-            q.push(ev)
-        assert len(q) == 0
+            sim.schedule(1.0, None)
+        assert sim.pending == 0
 
-    def test_compaction_recount_heals_drift(self):
-        # Simulate the historical double-note bug: drive the counter
-        # below truth, then trigger compaction and check it resyncs.
-        q = EventQueue()
-        evs = [make_event(float(i), i) for i in range(200)]
-        for ev in evs:
-            q.push(ev)
-        for ev in evs[:120]:
-            ev.cancel()
-            q.note_cancelled()
-        # Inject drift: extra notes without marks (the old bug).  The
-        # counter sinks below ground truth (80 live events remain) until
-        # it crosses the compaction trigger — at which point the rebuild
-        # recounts from the heap and pins the count back to truth.
-        for _ in range(40):
-            q.note_cancelled()
-            if len(q) == 80:
-                break  # compaction fired and resynchronized the count
-        assert len(q) == 80
-        popped = []
-        while q:
-            popped.append(q.pop().time)
-        assert popped == [float(i) for i in range(120, 200)]
-        assert len(q) == 0
+    def test_compaction_recount_stays_exact(self):
+        # The old drift pattern — the same events cancelled over and
+        # over — across the compaction threshold: the count stays on
+        # ground truth throughout and after the rebuild.
+        sim = Simulator()
+        handles = [sim.schedule(float(i), noop, i) for i in range(200)]
+        for i, h in enumerate(handles[:120]):
+            sim.cancel(h)
+            sim.cancel(h)
+            assert sim.pending == 200 - (i + 1)
+        for h in handles[:120]:
+            sim.cancel(h)
+        assert sim.pending == 80
+        assert [t for t, _ in drain(sim)] == [float(i) for i in range(120, 200)]
+        assert sim.pending == 0
 
     def test_drift_cannot_suppress_compaction_forever(self):
-        # With a negative counter the old trigger (live < total//2)
-        # fired spuriously or never; after healing, a later genuine
-        # cancel wave must still compact and pop correctly.
-        q = EventQueue()
-        evs = [make_event(float(i), i) for i in range(300)]
-        for ev in evs:
-            q.push(ev)
-        for _ in range(5):  # phantom notes before any real cancel
-            q.note_cancelled()
-        for ev in evs[:250]:
-            q.cancel(ev)
-        assert len(q) == 50
-        assert [q.pop().seq for _ in range(50)] == list(range(250, 300))
+        sim = Simulator()
+        handles = [sim.schedule(float(i), noop, i) for i in range(300)]
+        first = handles[0]
+        sim.cancel(first)
+        for _ in range(5):  # phantom cancels before the real wave
+            sim.cancel(first)
+        for h in handles[1:250]:
+            sim.cancel(h)
+        assert sim.pending == 50
+        assert len(sim._heap) < 300  # compaction still fired
+        assert [args[0] for _, args in drain(sim)] == list(range(250, 300))
+
+
+class TestCompactionDuringRun:
+    def test_handler_cancel_storm_compacts_in_place(self):
+        """A callback cancelling most pending events mid-run forces a
+        compaction while ``run()`` holds its reference to the heap:
+        every survivor still fires in ``(time, seq)`` order and the
+        counters stay exact."""
+        sim = Simulator()
+        fired = []
+        handles = []
+        for i in range(400):
+            # two events per instant, so ties exercise seq order
+            handles.append(sim.schedule(10.0 + i // 2, fired.append, i))
+        survivors = [i for i in range(400) if i % 5 == 0]
+        seen = {}
+
+        def storm():
+            before = len(sim._heap)
+            for i, h in enumerate(handles):
+                if i % 5:
+                    sim.cancel(h)
+            seen["compacted"] = len(sim._heap) < before
+            seen["pending"] = sim.pending
+            seen["executed"] = sim.events_executed
+
+        sim.schedule(1.0, storm)
+        sim.run(until=50.0)
+        assert seen == {"compacted": True, "pending": 80, "executed": 1}
+        # run() went on after the rebuild, up to its horizon
+        assert fired == [i for i in survivors if 10.0 + i // 2 <= 50.0]
+        assert sim.events_executed == 1 + len(fired)
+        sim.run()
+        assert fired == survivors
+        assert (sim.pending, sim.events_executed) == (0, 1 + len(survivors))
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,23 +240,17 @@ class TestCancellationAccounting:
     )
 )
 def test_queue_is_stable_total_order(entries):
-    """Popped order must be sorted by (time, insertion index), skipping
-    cancelled entries — for any pattern of pushes and cancellations."""
-    q = EventQueue()
-    events = []
-    for i, (t, cancel) in enumerate(entries):
-        ev = make_event(t, i)
-        q.push(ev)
-        events.append((ev, cancel))
-    for ev, cancel in events:
+    """Fired order must be sorted by (time, scheduling index), skipping
+    cancelled entries — for any pattern of schedules and cancellations."""
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule_at(t, fired.append, (t, i)) for i, (t, _) in enumerate(entries)]
+    for h, (_, cancel) in zip(handles, entries):
         if cancel:
-            ev.cancel()
-            q.note_cancelled()
-    expected = sorted(
-        ((ev.time, ev.seq) for ev, cancel in events if not cancel),
-    )
-    got = []
-    while q:
-        ev = q.pop()
-        got.append((ev.time, ev.seq))
-    assert got == expected
+            sim.cancel(h)
+    expected = sorted((t, i) for i, (t, cancel) in enumerate(entries) if not cancel)
+    assert sim.pending == len(expected)
+    sim.run()
+    assert fired == expected
+    assert sim.events_executed == len(expected)
+    assert sim.pending == 0
