@@ -218,9 +218,10 @@ def build_system(config: SimulationConfig) -> System:
     )
     router = Router(topo)
     if gm.scheduler_tables is not None:
-        # Donate the mapper's per-scheduler Dijkstra tables: scheduler
-        # (and co-located estimator) sites originate nearly all routed
-        # traffic, so the router never recomputes its hottest sources.
+        # Donate the mapper's per-scheduler shortest-path tables:
+        # scheduler (and co-located estimator) sites originate nearly
+        # all routed traffic, so the router never sweeps its hottest
+        # sources.
         for node, table in zip(gm.scheduler_nodes, gm.scheduler_tables):
             router.prime(node, table)
     fluid_mode = config.fluid.is_fluid

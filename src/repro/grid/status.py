@@ -36,21 +36,25 @@ class StatusTable:
         schedulers, the whole pool for CENTRAL).
     """
 
-    __slots__ = ("_load", "_stamp", "_dead", "_heap")
+    __slots__ = ("_load", "_stamp", "_dead", "_heap", "_compact_at")
 
     def __init__(self, resource_ids: Iterable[int]) -> None:
         self._load: Dict[int, float] = {r: 0.0 for r in resource_ids}
         self._stamp: Dict[int, float] = {r: -math.inf for r in self._load}
         self._dead: Set[int] = set()
-        # Lazy min-heap over (load, id): every mutation pushes a fresh
-        # entry; stale/dead entries are discarded when they surface at
-        # the top.  `least_loaded` is the per-decision hot path (every
+        # Lazy min-heap over (load, id): every mutation that changes a
+        # live resource's load (or revives it) pushes a fresh entry, so
+        # each live resource always has a valid entry; stale/dead
+        # entries are discarded when they surface at the top.
+        # `least_loaded` is the per-decision hot path (every
         # placement calls it), and the lexicographic heap minimum is
         # exactly the old sorted-scan answer — smallest load, lowest id
         # on ties — at O(log n) per mutation instead of O(n log n) per
         # decision, which is what keeps decisions affordable when one
         # table tracks 1e5-scale pools.
         self._heap = [(0.0, r) for r in sorted(self._load)]
+        #: heap size past which lazy entries are compacted away
+        self._compact_at = max(64, 8 * len(self._load))
 
     def __contains__(self, resource_id: int) -> bool:
         return resource_id in self._load
@@ -64,18 +68,29 @@ class StatusTable:
         Out-of-order updates (older than the stored stamp) are ignored —
         the network can reorder messages sent over different paths.
         """
-        if resource_id not in self._load:
+        loads = self._load
+        if resource_id not in loads:
             raise KeyError(f"resource {resource_id} not tracked by this table")
         if time >= self._stamp[resource_id]:
-            self._load[resource_id] = load
             self._stamp[resource_id] = time
-            # Fresh news proves liveness: a recovered resource rejoins
-            # the placement view on its first post-repair report.
-            self._dead.discard(resource_id)
-            # Revivals must re-enter the heap even when the load is
-            # unchanged: the dead entry may already have been discarded.
+            dead = self._dead
+            if resource_id in dead:
+                # Fresh news proves liveness: a recovered resource
+                # rejoins the placement view on its first post-repair
+                # report.  It must re-enter the heap even when the load
+                # is unchanged: the dead entry may already be discarded.
+                dead.discard(resource_id)
+            elif loads[resource_id] == load:
+                # A live resource repeating its load (nearly every
+                # keepalive): the heap already holds a valid entry.  The
+                # value is still stored, so ``load_of`` returns what was
+                # sent even when it is an equal value of another type.
+                loads[resource_id] = load
+                return
+            loads[resource_id] = load
             heapq.heappush(self._heap, (load, resource_id))
-            self._maybe_compact()
+            if len(self._heap) > self._compact_at:
+                self._compact()
 
     def bump(self, resource_id: int, by: float = 1.0) -> None:
         """Optimistically adjust a tracked load (local dispatch bookkeeping)."""
@@ -84,7 +99,8 @@ class StatusTable:
         load = max(0.0, self._load[resource_id] + by)
         self._load[resource_id] = load
         heapq.heappush(self._heap, (load, resource_id))
-        self._maybe_compact()
+        if len(self._heap) > self._compact_at:
+            self._compact()
 
     def load_of(self, resource_id: int) -> float:
         """Last known load of one resource."""
@@ -105,14 +121,11 @@ class StatusTable:
         """Tracked resources not currently aged out."""
         return len(self._load) - len(self._dead)
 
-    def _maybe_compact(self) -> None:
+    def _compact(self) -> None:
         """Rebuild the heap from live state once lazy entries pile up."""
-        if len(self._heap) > max(64, 8 * len(self._load)):
-            dead = self._dead
-            self._heap = [
-                (v, r) for r, v in self._load.items() if r not in dead
-            ]
-            heapq.heapify(self._heap)
+        dead = self._dead
+        self._heap = [(v, r) for r, v in self._load.items() if r not in dead]
+        heapq.heapify(self._heap)
 
     def least_loaded(self) -> Tuple[Optional[int], float]:
         """Live resource with the smallest known load (ties -> lowest id).

@@ -12,9 +12,11 @@ Case-2 run prices millions of messages, but only between a handful of
 distinct (scheduler, scheduler/resource) pairs, so caching makes pricing
 O(1) amortized.  Two kinds of entry share it:
 
-* **full tables** — one ``single_source`` sweep per source.  The grid
-  mapper donates one per scheduler site (see :meth:`Router.prime`), and
-  symmetric (fluid-mode) routing computes them on a miss;
+* **full tables** — a ``single_source`` table per source.  The grid
+  mapper donates one per scheduler site, computed for all sites at once
+  by :func:`~repro.topology.paths.shortest_path_tables` (see
+  :meth:`Router.prime`), and symmetric (fluid-mode) routing runs a
+  ``single_source`` sweep on a miss;
 * **rows** — for every other source, a ``{dst: PathInfo}`` dict filled
   one destination at a time by a target-bounded search that stops once
   ``dst`` is settled.  A resource only ever talks to a few nearby
@@ -60,14 +62,17 @@ class Router:
         self.symmetric = False
 
     def prime(self, src: int, table: List[PathInfo]) -> None:
-        """Seed the cache with a precomputed ``single_source`` table.
+        """Seed the cache with a precomputed full table for ``src``.
 
-        The grid mapper already runs one Dijkstra per scheduler site
-        for cluster assignment; donating those tables here means the
-        hottest sources (schedulers and their co-located estimators)
-        never pay a second shortest-path sweep.  The table must be the
-        exact ``single_source`` output for ``src`` — priming is a pure
-        cache warm-up and cannot change any priced path.
+        The grid mapper computes every scheduler site's table for
+        cluster assignment in one vectorized
+        :func:`~repro.topology.paths.shortest_path_tables` pass;
+        donating them here means the hottest sources (schedulers and
+        their co-located estimators) never pay a shortest-path sweep of
+        their own.  The table must equal ``single_source(topo, src)``
+        triple for triple — ``shortest_path_tables`` guarantees it — so
+        priming is a pure cache warm-up and cannot change any priced
+        path.
         """
         if type(self.tables.get(src)) is not list:
             self.tables[src] = table

@@ -3,7 +3,7 @@
 from .generator import TopologyParams, generate_topology
 from .graph import Link, Topology
 from .grid_map import GridMap, map_grid
-from .paths import multi_source_nearest, single_source
+from .paths import shortest_path_tables, single_source
 
 __all__ = [
     "GridMap",
@@ -12,6 +12,6 @@ __all__ = [
     "TopologyParams",
     "generate_topology",
     "map_grid",
-    "multi_source_nearest",
+    "shortest_path_tables",
     "single_source",
 ]

@@ -83,8 +83,12 @@ class TopologyParams:
             raise ValueError("at least one bandwidth tier is required")
 
 
-def _link_latency(params: TopologyParams, coords: np.ndarray, u: int, v: int) -> float:
-    d = float(np.hypot(*(coords[u] - coords[v])))
+def _link_latency(params: TopologyParams, xy: list, u: int, v: int) -> float:
+    # Python-float differences are the same IEEE subtractions numpy
+    # would do, and ``np.hypot`` runs the same C routine on the same
+    # doubles, without per-link array indexing.
+    (xu, yu), (xv, yv) = xy[u], xy[v]
+    d = float(np.hypot(xu - xv, yu - yv))
     return max(params.min_latency, params.latency_per_unit * d)
 
 
@@ -107,17 +111,17 @@ def generate_topology(params: TopologyParams, rng: np.random.Generator) -> Topol
     topo = Topology(n)
     # Unit-square coordinates drive both Waxman locality and latencies.
     coords = rng.random((n, 2)) * 100.0
-    topo.coords = [tuple(xy) for xy in coords]
-    tiers = np.asarray(params.bandwidth_tiers, dtype=float)
+    topo.coords = xy = [tuple(p) for p in coords.tolist()]
+    tiers = np.asarray(params.bandwidth_tiers, dtype=float).tolist()
 
     def bandwidth() -> float:
-        return float(tiers[rng.integers(len(tiers))])
+        return tiers[rng.integers(len(tiers))]
 
     # --- Phase 1: preferential attachment backbone --------------------
     # Start from a 2-node seed; each subsequent node attaches to
     # min(m_attach, existing) distinct targets chosen with probability
     # proportional to (degree + 1).
-    topo.add_link(0, 1, _link_latency(params, coords, 0, 1), bandwidth())
+    topo.add_link(0, 1, _link_latency(params, xy, 0, 1), bandwidth())
     # Repeated-endpoint list implements preferential attachment cheaply.
     endpoint_pool = [0, 1, 0, 1]
     for u in range(2, n):
@@ -129,7 +133,7 @@ def generate_topology(params: TopologyParams, rng: np.random.Generator) -> Topol
             if v != u:
                 targets.add(v)
         for v in targets:
-            topo.add_link(u, v, _link_latency(params, coords, u, v), bandwidth())
+            topo.add_link(u, v, _link_latency(params, xy, u, v), bandwidth())
             endpoint_pool.append(u)
             endpoint_pool.append(v)
 
@@ -150,10 +154,9 @@ def generate_topology(params: TopologyParams, rng: np.random.Generator) -> Topol
         d = np.hypot(coords[us, 0] - coords[vs, 0], coords[us, 1] - coords[vs, 1])
         p = params.waxman_alpha * np.exp(-d / (params.waxman_beta * l_max))
         accept = rng.random(len(p)) < p
-        for u, v in zip(us[accept], vs[accept]):
-            u, v = int(u), int(v)
+        for u, v in zip(us[accept].tolist(), vs[accept].tolist()):
             if not topo.has_link(u, v):
-                topo.add_link(u, v, _link_latency(params, coords, u, v), bandwidth())
+                topo.add_link(u, v, _link_latency(params, xy, u, v), bandwidth())
 
     assert topo.is_connected(), "generator invariant: PA phase guarantees connectivity"
     return topo

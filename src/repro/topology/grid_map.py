@@ -16,7 +16,8 @@ into a :class:`GridMap`:
   Fig. 4 caption).  With one estimator per scheduler the estimator is
   co-located with its scheduler — the base configuration.
 * **Resource sites** are the remaining routers; every resource joins the
-  cluster of its nearest scheduler (multi-source Dijkstra by latency),
+  cluster of its nearest scheduler with room (latency from the
+  schedulers' shortest-path tables, clusters capped at an even share),
   yielding the non-overlapping clustering.
 * Resources are assigned to estimators round-robin **within their
   cluster ordering**, so estimator coverage respects locality.
@@ -35,7 +36,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .graph import Topology
-from .paths import PathInfo, multi_source_nearest
+from .paths import PathInfo, shortest_path_tables
 
 __all__ = ["GridMap", "map_grid"]
 
@@ -64,13 +65,15 @@ class GridMap:
         Scheduler ids each estimator forwards updates to (the owners of
         the resources it covers).
     scheduler_tables:
-        The per-scheduler-site ``single_source`` routing tables the
-        mapper computed for cluster assignment, in ``scheduler_nodes``
-        order.  The builder donates them to the
-        :class:`~repro.network.routing.Router` cache — scheduler (and
-        co-located estimator) sites originate nearly all routed
-        traffic, so reusing the mapper's Dijkstra passes means the hot
-        sources never pay a second shortest-path sweep.
+        The per-scheduler-site routing tables the mapper computed for
+        cluster assignment, in ``scheduler_nodes`` order.  One
+        vectorized :func:`~repro.topology.paths.shortest_path_tables`
+        call computes all of them at once, each bit-identical to that
+        site's ``single_source`` table.  The builder donates them to
+        the :class:`~repro.network.routing.Router` cache — scheduler
+        (and co-located estimator) sites originate nearly all routed
+        traffic, so the hot sources never pay a shortest-path sweep of
+        their own.
     """
 
     topology: Topology
@@ -163,7 +166,8 @@ def map_grid(
 
     # Resources occupy the remaining routers, wrapping around (multiple
     # resource sites may share a router) when the pool outgrows the graph.
-    non_sched = [u for u in range(n) if u not in set(scheduler_nodes)]
+    sched_set = set(scheduler_nodes)
+    non_sched = [u for u in range(n) if u not in sched_set]
     if not non_sched:  # degenerate tiny graph: co-locate
         non_sched = list(range(n))
     resource_nodes = [non_sched[i % len(non_sched)] for i in range(n_resources)]
@@ -177,19 +181,14 @@ def map_grid(
     # locality but cap cluster size: resources claim their nearest
     # scheduler greedily (closest pairs first) and overflow to the next
     # nearest with free capacity.
-    from .paths import single_source
-
-    sched_tables = [single_source(topo, node) for node in scheduler_nodes]
+    sched_tables, sched_latency = shortest_path_tables(topo, scheduler_nodes)
     cap = -(-n_resources // n_schedulers)  # ceil division
     # Latency matrix (scheduler x resource site) for the greedy fill.
     # Stable argsort ties break by scheduler id, reproducing the old
     # per-resource ``sorted(..., key=(dist, s))`` bit-for-bit while
     # staying vectorized: at 1e5 resources x 100+ schedulers the
     # per-resource Python sorts alone used to dominate build time.
-    res_idx = np.asarray(resource_nodes, dtype=np.intp)
-    lat = np.stack(
-        [np.asarray(t, dtype=float)[res_idx, 0] for t in sched_tables]
-    )
+    lat = sched_latency[:, np.asarray(resource_nodes, dtype=np.intp)]
     prefs_of = np.argsort(lat, axis=0, kind="stable")
     nearest = lat[prefs_of[0], np.arange(n_resources)]
     order = sorted(zip(nearest.tolist(), range(n_resources)))

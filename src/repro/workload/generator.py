@@ -142,22 +142,33 @@ class WorkloadGenerator:
             partitions = np.minimum(2**exps, self.max_partition)
         else:
             partitions = np.ones(n, dtype=int)
-        jobs = [
+        # One bulk conversion per array: ``tolist`` yields exactly the
+        # Python floats/ints the per-element ``float(a[i])``/``int(a[i])``
+        # calls would, without a numpy scalar per field per job.
+        t_cpu = self.t_cpu
+        local, remote = JobClass.LOCAL, JobClass.REMOTE
+        return [
             JobSpec(
                 job_id=i,
-                arrival_time=float(times[i]),
-                execution_time=float(runtimes[i]),
-                requested_time=float(requested[i]),
-                benefit_factor=float(benefits[i]),
-                submit_cluster=int(clusters[i]),
-                job_class=(
-                    JobClass.LOCAL if runtimes[i] <= self.t_cpu else JobClass.REMOTE
-                ),
-                partition_size=int(partitions[i]),
+                arrival_time=arrival,
+                execution_time=runtime,
+                requested_time=req,
+                benefit_factor=benefit,
+                submit_cluster=cluster,
+                job_class=local if runtime <= t_cpu else remote,
+                partition_size=partition,
             )
-            for i in range(n)
+            for i, (arrival, runtime, req, benefit, cluster, partition) in enumerate(
+                zip(
+                    np.asarray(times, dtype=float).tolist(),
+                    np.asarray(runtimes, dtype=float).tolist(),
+                    np.asarray(requested, dtype=float).tolist(),
+                    benefits.tolist(),
+                    clusters.tolist(),
+                    np.asarray(partitions).tolist(),
+                )
+            )
         ]
-        return jobs
 
     def offered_load(self, horizon: float) -> float:
         """Expected total service demand offered over ``[0, horizon)``.

@@ -1,5 +1,6 @@
 """Tests for the StatusTable (the manager's stale view)."""
 
+import heapq
 import math
 
 import pytest
@@ -98,3 +99,85 @@ def test_table_reflects_latest_observation(updates):
     for rid in range(5):
         expected = latest.get(rid, (None, 0.0))[1]
         assert t.load_of(rid) == expected
+
+
+class PushAlwaysTable:
+    """Reference: the table as it was before ``record`` skipped repeated
+    loads — every accepted update pushes a heap entry."""
+
+    def __init__(self, resource_ids):
+        self._load = {r: 0.0 for r in resource_ids}
+        self._stamp = {r: -math.inf for r in self._load}
+        self._dead = set()
+        self._heap = [(0.0, r) for r in sorted(self._load)]
+
+    def record(self, resource_id, load, time):
+        if time >= self._stamp[resource_id]:
+            self._load[resource_id] = load
+            self._stamp[resource_id] = time
+            self._dead.discard(resource_id)
+            heapq.heappush(self._heap, (load, resource_id))
+            self._maybe_compact()
+
+    def bump(self, resource_id, by=1.0):
+        load = max(0.0, self._load[resource_id] + by)
+        self._load[resource_id] = load
+        heapq.heappush(self._heap, (load, resource_id))
+        self._maybe_compact()
+
+    def mark_dead(self, resource_id):
+        self._dead.add(resource_id)
+
+    def _maybe_compact(self):
+        if len(self._heap) > max(64, 8 * len(self._load)):
+            self._heap = [(v, r) for r, v in self._load.items() if r not in self._dead]
+            heapq.heapify(self._heap)
+
+    def least_loaded(self):
+        while self._heap:
+            v, r = self._heap[0]
+            if r in self._dead or self._load[r] != v:
+                heapq.heappop(self._heap)
+                continue
+            return r, v
+        return None, math.inf
+
+
+_ops = st.one_of(
+    st.tuples(
+        st.just("record"),
+        st.integers(0, 5),
+        st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+        st.integers(0, 40),
+    ),
+    st.tuples(st.just("bump"), st.integers(0, 5), st.sampled_from([1.0, -1.0, 2.0])),
+    st.tuples(st.just("dead"), st.integers(0, 5)),
+    st.tuples(st.just("least"),),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=6), ops=st.lists(_ops, max_size=300))
+def test_skipped_pushes_keep_least_loaded(n, ops):
+    """Skipping the heap push for a live resource's repeated load never
+    changes a ``least_loaded`` answer, across deaths and revivals."""
+    table, ref = StatusTable(range(n)), PushAlwaysTable(range(n))
+    now = 0
+    for op in ops:
+        kind, args = op[0], op[1:]
+        if kind != "least" and args[0] >= n:
+            continue
+        if kind == "record":
+            rid, load, dt = args
+            now += dt - 10  # some updates arrive out of order
+            table.record(rid, load, now)
+            ref.record(rid, load, now)
+        elif kind == "bump":
+            table.bump(*args)
+            ref.bump(*args)
+        elif kind == "dead":
+            table.mark_dead(args[0])
+            ref.mark_dead(args[0])
+        assert table.least_loaded() == ref.least_loaded()
+        assert table.loads() == ref._load
+        assert table.alive_count == n - len(ref._dead)

@@ -12,7 +12,7 @@ from repro.topology import (
     Topology,
     TopologyParams,
     generate_topology,
-    multi_source_nearest,
+    shortest_path_tables,
     single_source,
 )
 
@@ -71,40 +71,122 @@ class TestSingleSource:
             assert ours[v][0] == pytest.approx(ref[v])
 
 
-class TestMultiSource:
-    def test_nearest_assignment_on_line(self):
-        # line latencies: 0-1:1, 1-2:2, 2-3:3 ; sources {0, 3}
-        dist, nearest = multi_source_nearest(line(4), [0, 3])
-        assert nearest[0] == 0 and nearest[3] == 3
-        assert nearest[1] == 0          # 1 is at distance 1 from 0, 5 from 3
-        assert nearest[2] == 3          # 2 is at distance 3 from both; ties
-        # Verify distances are the min over sources.
-        assert dist[1] == 1.0
-        assert dist[2] == 3.0
+def tie_topology():
+    """Equal-latency paths that only Dijkstra's ``(dist, id)`` settle
+    order disambiguates, for both hops and transmission factor.
 
-    def test_single_source_degenerates(self):
-        dist, nearest = multi_source_nearest(line(4), [0])
-        assert all(s == 0 for s in nearest)
-        assert dist == [0.0, 1.0, 3.0, 6.0]
+    Node 5 is reached at latency 3.0 through node 3 (at 1.0, one hop) and
+    through node 2 (at 2.0, two hops): the nearer predecessor wins even
+    though its id is larger.  Node 6 is reached at latency 3.0 through
+    node 2 and through node 4, both at 2.0 but with different hop counts
+    and bandwidths: the lower id wins.
+    """
+    t = Topology(7)
+    t.add_link(0, 3, 1.0, 10.0)
+    t.add_link(3, 5, 2.0, 100.0)
+    t.add_link(0, 1, 1.0, 20.0)
+    t.add_link(1, 2, 1.0, 1000.0)
+    t.add_link(2, 5, 1.0, 400.0)
+    t.add_link(0, 4, 2.0, 40.0)
+    t.add_link(2, 6, 1.0, 100.0)
+    t.add_link(4, 6, 1.0, 1000.0)
+    return t
 
-    def test_invalid_source_rejected(self):
-        with pytest.raises(ValueError):
-            multi_source_nearest(line(3), [7])
 
-    @settings(max_examples=20, deadline=None)
+@st.composite
+def tie_prone_graphs(draw):
+    """Connected graphs whose latencies come from a tiny set, so
+    equal-latency paths (and Dijkstra's tie-break) are everywhere."""
+    n = draw(st.integers(min_value=2, max_value=24))
+    t = Topology(n)
+    lat = st.sampled_from([0.5, 1.0, 1.5, 2.0])
+    bw = st.sampled_from([100.0, 400.0, 1000.0])
+    for v in range(1, n):
+        t.add_link(draw(st.integers(0, v - 1)), v, draw(lat), draw(bw))
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            t.add_link(u, v, draw(lat), draw(bw))
+    return t
+
+
+class TestShortestPathTables:
+    """``shortest_path_tables`` must equal ``single_source`` bit for bit."""
+
+    @staticmethod
+    def assert_matches(topo, sources):
+        tables, latency = shortest_path_tables(topo, sources)
+        assert len(tables) == len(sources)
+        assert latency.shape == (len(sources), topo.n_nodes)
+        for i, s in enumerate(sources):
+            ref = single_source(topo, s)
+            assert tables[i] == ref
+            assert [tuple(map(type, x)) for x in tables[i]] == [
+                tuple(map(type, x)) for x in ref
+            ]
+            assert latency[i].tolist() == [d for d, _, _ in ref]
+
+    @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(min_value=4, max_value=50),
+        n=st.integers(min_value=2, max_value=48),
         seed=st.integers(min_value=0, max_value=10_000),
-        k=st.integers(min_value=1, max_value=4),
+        data=st.data(),
     )
-    def test_nearest_really_is_nearest(self, n, seed, k):
+    def test_matches_single_source_on_generated(self, n, seed, data):
         topo = generate_topology(
             TopologyParams(n_nodes=n), RngHub(seed).stream("topology")
         )
-        sources = sorted(set(range(0, n, max(1, n // k))))[:k]
-        dist, nearest = multi_source_nearest(topo, sources)
-        per_source = {s: single_source(topo, s) for s in sources}
-        for v in range(n):
-            best = min(per_source[s][v][0] for s in sources)
-            assert dist[v] == pytest.approx(best)
-            assert per_source[nearest[v]][v][0] == pytest.approx(best)
+        sources = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
+        )
+        self.assert_matches(topo, sources)
+
+    @settings(max_examples=60, deadline=None)
+    @given(topo=tie_prone_graphs(), data=st.data())
+    def test_matches_single_source_under_ties(self, topo, data):
+        n = topo.n_nodes
+        sources = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
+        )
+        self.assert_matches(topo, sources)
+
+    def test_dist_then_id_tie_break(self):
+        topo = tie_topology()
+        tables, _ = shortest_path_tables(topo, [0])
+        assert tables[0][5] == (3.0, 2, 1 / 10.0 + 1 / 100.0)  # via 3, not 2
+        assert tables[0][6] == (3.0, 3, (1 / 20.0 + 1 / 1000.0) + 1 / 100.0)  # via 2
+        self.assert_matches(topo, list(range(7)))
+
+    def test_chunks_match_one_pass(self, monkeypatch):
+        from repro.topology import paths
+
+        topo = generate_topology(
+            TopologyParams(n_nodes=40), RngHub(3).stream("topology")
+        )
+        whole = shortest_path_tables(topo, range(0, 40, 3))
+        monkeypatch.setattr(paths, "_CHUNK_ELEMENTS", 1)
+        tables, latency = shortest_path_tables(topo, range(0, 40, 3))
+        assert tables == whole[0]
+        assert latency.tolist() == whole[1].tolist()
+
+    def test_unreachable_and_isolated(self):
+        t = Topology(4)
+        t.add_link(0, 1, 1.0, 1.0)
+        t.add_link(2, 1, 1.0, 2.0)
+        self.assert_matches(t, [0, 3, 2])
+        self.assert_matches(Topology(1), [0])
+
+    def test_no_sources(self):
+        tables, latency = shortest_path_tables(line(3), [])
+        assert tables == [] and latency.shape == (0, 3)
+
+    def test_invalid_source_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            shortest_path_tables(line(3), [7])
+
+    def test_vanishing_link_rejected(self):
+        t = Topology(3)
+        t.add_link(0, 1, 1.0, 1.0)
+        t.add_link(1, 2, 1e-300, 1.0)  # fl(1.0 + 1e-300) == 1.0
+        with pytest.raises(ValueError, match=r"link \(1, 2\)"):
+            shortest_path_tables(t, [0])

@@ -9,6 +9,7 @@ from repro.sim import RngHub
 from repro.workload import (
     BurstyArrivals,
     JobClass,
+    JobSpec,
     PoissonArrivals,
     RuntimeModel,
     WorkloadGenerator,
@@ -182,6 +183,52 @@ class TestWorkloadGenerator:
 
     def test_empty_horizon_gives_no_jobs(self):
         assert self.make().generate(0.0, rng(19)) == []
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 100, 4242])
+    @pytest.mark.parametrize("max_partition", [1, 8])
+    def test_bulk_conversion_matches_per_element_reference(self, seed, max_partition):
+        gen = self.make(rate=0.2, clusters=5, max_partition=max_partition)
+        got = gen.generate(4000.0, rng(seed))
+        want = reference_generate(gen, 4000.0, rng(seed))
+        assert len(got) > 100
+        assert got == want
+        for a, b in zip(got, want):
+            assert [type(v) for v in vars(a).values()] == [type(v) for v in vars(b).values()]
+
+
+def reference_generate(gen, horizon, r):
+    """The per-element formulation ``WorkloadGenerator.generate`` had
+    before its bulk ``tolist`` conversions: same draws, same order, one
+    numpy scalar conversion per field per job."""
+    times = gen.arrivals.times(horizon, r)
+    n = len(times)
+    if n == 0:
+        return []
+    runtimes = gen.runtime_model.sample_runtimes(n, r)
+    requested = gen.runtime_model.sample_requested(runtimes, r)
+    benefits = r.uniform(gen.benefit_lo, gen.benefit_hi, size=n)
+    clusters = r.integers(0, gen.n_clusters, size=n)
+    if gen.max_partition > 1:
+        max_exp = int(np.floor(np.log2(gen.max_partition)))
+        exps = r.integers(0, max_exp + 1, size=n)
+        partitions = np.minimum(2**exps, gen.max_partition)
+    else:
+        partitions = np.ones(n, dtype=int)
+    return [
+        JobSpec(
+            job_id=i,
+            arrival_time=float(times[i]),
+            execution_time=float(runtimes[i]),
+            requested_time=float(requested[i]),
+            benefit_factor=float(benefits[i]),
+            submit_cluster=int(clusters[i]),
+            job_class=(
+                JobClass.LOCAL if runtimes[i] <= gen.t_cpu else JobClass.REMOTE
+            ),
+            partition_size=int(partitions[i]),
+        )
+        for i in range(n)
+    ]
 
 
 @settings(max_examples=30, deadline=None)
