@@ -220,10 +220,9 @@ def build_system(config: SimulationConfig) -> System:
     if gm.scheduler_tables is not None:
         # Donate the mapper's per-scheduler shortest-path tables:
         # scheduler (and co-located estimator) sites originate nearly
-        # all routed traffic, so the router never sweeps its hottest
-        # sources.
-        for node, table in zip(gm.scheduler_nodes, gm.scheduler_tables):
-            router.prime(node, table)
+        # all routed traffic, so the router never searches from its
+        # hottest sources.
+        router.prime(gm.scheduler_nodes, gm.scheduler_tables)
     fluid_mode = config.fluid.is_fluid
     if fluid_mode:
         # At 1e5-scale pools nearly every resource node sends at least

@@ -164,8 +164,9 @@ class FluidStatusPlane:
                 # Query estimator -> resource: transit is symmetric on
                 # the undirected topology, and estimator sites are
                 # scheduler sites whose routing tables the builder
-                # primes from the grid mapper — so this precompute is
-                # pure cache hits instead of O(k) Dijkstra passes.
+                # donates from the grid mapper — so this precompute
+                # reads one triple per resource out of those arrays
+                # instead of running O(k) Dijkstra searches.
                 latency, _, factor = router.path_info(dst, src)
                 self._transit[rid] = scale * (latency + size * factor)
         self._busy_until = [-math.inf] * m

@@ -10,26 +10,35 @@ shortest paths, cached per source.
 The cache is the hot data structure of the whole simulator: a 1000-node
 Case-2 run prices millions of messages, but only between a handful of
 distinct (scheduler, scheduler/resource) pairs, so caching makes pricing
-O(1) amortized.  Two kinds of entry share it:
+O(1) amortized.  It holds one kind of entry, a **row** per source: a
+``{dst: PathInfo}`` dict filled one destination at a time.  A miss fills
+the entry from one of two places:
 
-* **full tables** — a ``single_source`` table per source.  The grid
-  mapper donates one per scheduler site, computed for all sites at once
-  by :func:`~repro.topology.paths.shortest_path_tables` (see
-  :meth:`Router.prime`), and symmetric (fluid-mode) routing runs a
-  ``single_source`` sweep on a miss;
-* **rows** — for every other source, a ``{dst: PathInfo}`` dict filled
-  one destination at a time by a target-bounded search that stops once
-  ``dst`` is settled.  A resource only ever talks to a few nearby
-  scheduler sites, so this settles a small part of the graph where a
-  full table would sweep all of it; the entries are bit-identical.
+* **donated tables** — the grid mapper computes every scheduler site's
+  full table at once with
+  :func:`~repro.topology.paths.shortest_path_tables` and the builder
+  donates those arrays (:meth:`Router.prime`).  A miss on such a source
+  reads its one triple out of the arrays; the arrays are never turned
+  into Python tuples wholesale, because a run routes only a few percent
+  of their pairs;
+* **target-bounded search** — for every other source,
+  ``single_source(topo, src, dst)`` stops once ``dst`` is settled.  A
+  resource only ever talks to a few nearby scheduler sites, so this
+  settles a small part of the graph where a full table would sweep all
+  of it.
+
+Both give entries bit-identical to ``single_source(topo, src)[dst]``, in
+value and in Python type.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
 
 from ..topology.graph import Topology
-from ..topology.paths import PathInfo, single_source
+from ..topology.paths import PathInfo, PathTables, single_source
 
 __all__ = ["Router"]
 
@@ -46,36 +55,43 @@ class Router:
 
     def __init__(self, topo: Topology) -> None:
         self.topology = topo
-        #: source -> full table (a list indexed by destination) or row
-        #: (a dict keyed by destination).  Both answer ``[dst]``, which
-        #: is how :meth:`~repro.network.transport.Network.send` reads
-        #: it inline, falling back to :meth:`path_info` on a miss.
-        self.tables: Dict[int, Union[List[PathInfo], Dict[int, PathInfo]]] = {}
-        #: When set, an uncached source may be priced from the
-        #: destination's full table instead of running its own
-        #: Dijkstra.  The topology is undirected, so shortest-path
-        #: *latency* and *transmission factor* are symmetric; only the
+        #: source -> row, a ``{dst: PathInfo}`` dict.  This is how
+        #: :meth:`~repro.network.transport.Network.send` reads routes
+        #: inline, falling back to :meth:`path_info` on a miss.
+        self.tables: Dict[int, Dict[int, PathInfo]] = {}
+        #: source -> its donated ``(latency, hops, txf)`` array rows
+        self._donated: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: When set, a source with no row yet is priced from the
+        #: destination's table when the destination has one, instead of
+        #: searching from the source.  The topology is undirected, so
+        #: shortest-path *latency* and *transmission factor* agree
+        #: either way up to the order the floats are summed in; only the
         #: hop count of tie-broken equal-latency paths can differ.
         #: Fluid-mode builders enable this: at 1e5-scale pools the
         #: resource→scheduler completion sends would otherwise trigger
-        #: one full Dijkstra per resource node.
+        #: one search per resource node.
         self.symmetric = False
 
-    def prime(self, src: int, table: List[PathInfo]) -> None:
-        """Seed the cache with a precomputed full table for ``src``.
+    def prime(self, sources: Sequence[int], tables: PathTables) -> None:
+        """Donate precomputed full tables: row ``i`` of ``tables`` is
+        ``sources[i]``'s.
 
         The grid mapper computes every scheduler site's table for
         cluster assignment in one vectorized
         :func:`~repro.topology.paths.shortest_path_tables` pass;
         donating them here means the hottest sources (schedulers and
-        their co-located estimators) never pay a shortest-path sweep of
-        their own.  The table must equal ``single_source(topo, src)``
-        triple for triple — ``shortest_path_tables`` guarantees it — so
-        priming is a pure cache warm-up and cannot change any priced
-        path.
+        their co-located estimators) never pay a shortest-path search
+        of their own.  The router keeps the arrays and materializes a
+        triple per routed pair on its first use.  Each row must equal
+        ``single_source(topo, src)`` triple for triple —
+        ``shortest_path_tables`` guarantees it — so priming is a pure
+        cache warm-up and cannot change any priced path.  A source's
+        existing row is kept: its entries already equal the donated
+        ones.
         """
-        if type(self.tables.get(src)) is not list:
-            self.tables[src] = table
+        for i, src in enumerate(sources):
+            self._donated[src] = (tables.latency[i], tables.hops[i], tables.txf[i])
+            self.tables.setdefault(src, {})
 
     def path_info(self, src: int, dst: int) -> PathInfo:
         """Return ``(latency, hops, transmission_factor)`` for src → dst.
@@ -87,20 +103,21 @@ class Router:
         if src == dst:
             return (0.0, 0, 0.0)
         tables = self.tables
-        table = tables.get(src)
-        if table is None:
-            if self.symmetric:
-                reverse = tables.get(dst)
-                if type(reverse) is list:
-                    return reverse[src]
-                table = tables[src] = single_source(self.topology, src)
-                return table[dst]
-            table = tables[src] = {}
-        try:
-            return table[dst]
-        except KeyError:
-            info = table[dst] = single_source(self.topology, src, dst)
-            return info
+        row = tables.get(src)
+        if row is None:
+            if self.symmetric and dst in tables:
+                return self.path_info(dst, src)
+            row = tables[src] = {}
+        info = row.get(dst)
+        if info is None:
+            donated = self._donated.get(src)
+            if donated is None:
+                info = single_source(self.topology, src, dst)
+            else:
+                latency, hops, txf = donated
+                info = (latency.item(dst), hops.item(dst), txf.item(dst))
+            row[dst] = info
+        return info
 
     def transit_delay(self, src: int, dst: int, size: float) -> float:
         """End-to-end transit time of a ``size``-unit message src → dst."""
@@ -113,6 +130,6 @@ class Router:
 
     @property
     def cached_sources(self) -> int:
-        """Number of sources with cached routes, full or partial
-        (diagnostics)."""
+        """Number of sources with a row: donated sources plus those
+        routed from so far (diagnostics)."""
         return len(self.tables)

@@ -8,15 +8,19 @@ have finite bandwidth and non-zero latencies".
 The structure is deliberately minimal — adjacency dictionaries keyed by
 node id — because the routing layer (Dijkstra) and the generator are the
 only consumers.  A :meth:`to_networkx` view exists for tests, which
-cross-check our shortest paths against ``networkx``.
+cross-check our shortest paths against ``networkx``.  It imports
+``networkx`` when called: the library is a test dependency only, and
+importing it at module level would load it into every simulation
+process (about 13 MB of resident memory) for a method no run calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Link", "Topology"]
 
@@ -149,7 +153,12 @@ class Topology:
 
     def to_networkx(self) -> "nx.Graph":
         """Export as a ``networkx.Graph`` with ``latency``/``bandwidth``
-        edge attributes (used by tests as a reference implementation)."""
+        edge attributes (used by tests as a reference implementation).
+
+        Needs the optional ``networkx`` package (the ``test`` extra).
+        """
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self._n))
         for link in self.links():

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .graph import Topology
-from .paths import PathInfo, shortest_path_tables
+from .paths import PathTables, shortest_path_tables
 
 __all__ = ["GridMap", "map_grid"]
 
@@ -66,14 +66,16 @@ class GridMap:
         the resources it covers).
     scheduler_tables:
         The per-scheduler-site routing tables the mapper computed for
-        cluster assignment, in ``scheduler_nodes`` order.  One
-        vectorized :func:`~repro.topology.paths.shortest_path_tables`
-        call computes all of them at once, each bit-identical to that
-        site's ``single_source`` table.  The builder donates them to
-        the :class:`~repro.network.routing.Router` cache — scheduler
-        (and co-located estimator) sites originate nearly all routed
-        traffic, so the hot sources never pay a shortest-path sweep of
-        their own.
+        cluster assignment: one vectorized
+        :func:`~repro.topology.paths.shortest_path_tables` call, kept as
+        its arrays with row ``i`` for ``scheduler_nodes[i]``, each row
+        bit-identical to that site's ``single_source`` table.  The
+        builder donates them to the
+        :class:`~repro.network.routing.Router` — scheduler (and
+        co-located estimator) sites originate nearly all routed
+        traffic, so the hot sources never pay a shortest-path search of
+        their own, and only the pairs actually routed become Python
+        triples.
     """
 
     topology: Topology
@@ -84,7 +86,7 @@ class GridMap:
     resources_of_cluster: Dict[int, List[int]] = field(default_factory=dict)
     estimator_of_resource: List[int] = field(default_factory=list)
     schedulers_of_estimator: Dict[int, List[int]] = field(default_factory=dict)
-    scheduler_tables: Optional[List[List[PathInfo]]] = None
+    scheduler_tables: Optional[PathTables] = None
 
     @property
     def n_schedulers(self) -> int:
@@ -181,14 +183,14 @@ def map_grid(
     # locality but cap cluster size: resources claim their nearest
     # scheduler greedily (closest pairs first) and overflow to the next
     # nearest with free capacity.
-    sched_tables, sched_latency = shortest_path_tables(topo, scheduler_nodes)
+    sched_tables = shortest_path_tables(topo, scheduler_nodes)
     cap = -(-n_resources // n_schedulers)  # ceil division
     # Latency matrix (scheduler x resource site) for the greedy fill.
     # Stable argsort ties break by scheduler id, reproducing the old
     # per-resource ``sorted(..., key=(dist, s))`` bit-for-bit while
     # staying vectorized: at 1e5 resources x 100+ schedulers the
     # per-resource Python sorts alone used to dominate build time.
-    lat = sched_latency[:, np.asarray(resource_nodes, dtype=np.intp)]
+    lat = sched_tables.latency[:, np.asarray(resource_nodes, dtype=np.intp)]
     prefs_of = np.argsort(lat, axis=0, kind="stable")
     nearest = lat[prefs_of[0], np.arange(n_resources)]
     order = sorted(zip(nearest.tolist(), range(n_resources)))

@@ -17,9 +17,11 @@ transmission_factor)`` triples, bit for bit:
   stopping at one target.  The router uses it for the rows of sources
   the mapper did not prime; the tests use it as the oracle.
 * :func:`shortest_path_tables` — every table for a set of sources at
-  once, as numpy relaxations over an in-edge array.  The grid mapper
+  once, as numpy relaxations over an in-edge array, returned as
+  sources-by-nodes arrays (:class:`PathTables`).  The grid mapper
   computes its per-scheduler tables with it, and the builder donates
-  them to the router (:meth:`~repro.network.routing.Router.prime`).
+  the arrays to the router (:meth:`~repro.network.routing.Router.prime`),
+  which reads one triple out of them per routed pair.
 
 Why the two agree exactly: every link satisfies ``fl(d + w) > d`` for
 the distances that occur (checked), so IEEE addition is isotone and
@@ -38,13 +40,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .graph import Topology
 
-__all__ = ["single_source", "shortest_path_tables", "PathInfo"]
+__all__ = ["single_source", "shortest_path_tables", "PathInfo", "PathTables"]
 
 #: (latency, hops, transmission_factor) triple for one destination.
 PathInfo = Tuple[float, int, float]
@@ -105,17 +107,32 @@ def single_source(topo: Topology, source: int, target: Optional[int] = None):
     return list(zip(dist, hops, txf))
 
 
-def shortest_path_tables(
-    topo: Topology, sources: Iterable[int]
-) -> Tuple[List[List[PathInfo]], np.ndarray]:
+class PathTables(NamedTuple):
+    """``single_source`` tables for several sources, as arrays.
+
+    Row ``i`` of each ``len(sources) x n_nodes`` matrix belongs to the
+    ``i``-th source; ``(latency[i, v], hops[i, v], txf[i, v])`` is that
+    source's ``single_source`` triple for node ``v``.  ``tolist()`` or
+    ``item()`` on them yields the same Python ``float``/``int``/
+    ``float`` values ``single_source`` returns.
+    """
+
+    latency: np.ndarray
+    hops: np.ndarray
+    txf: np.ndarray
+
+
+def shortest_path_tables(topo: Topology, sources: Iterable[int]) -> PathTables:
     """All ``single_source`` tables for ``sources``, computed together.
 
     Returns
     -------
-    (tables, latency):
-        ``tables[i]`` equals ``single_source(topo, sources[i])`` triple
-        for triple; ``latency`` is the ``len(sources) x n_nodes`` float
-        matrix of the same latencies.
+    PathTables
+        Row ``i`` equals ``single_source(topo, sources[i])`` triple for
+        triple: float64 latencies and transmission factors, int64 hop
+        counts.  The tables stay arrays (three 8-byte cells per entry)
+        instead of one Python tuple per entry; callers read the triples
+        they need.
 
     Raises
     ------
@@ -132,18 +149,14 @@ def shortest_path_tables(
         if not (0 <= s < n):
             raise ValueError(f"source {s} out of range for {n} nodes")
     edges = _InEdges(topo)
-    latency = np.empty((len(sources), n))
-    tables: List[List[PathInfo]] = []
+    shape = (len(sources), n)
+    out = PathTables(np.empty(shape), np.empty(shape, dtype=np.int64), np.empty(shape))
     chunk = max(1, _CHUNK_ELEMENTS // max(1, len(edges.tail)))
     for lo in range(0, len(sources), chunk):
         srcs = sources[lo:lo + chunk]
-        dist, hops, txf = edges.tables(srcs)
-        latency[lo:lo + len(srcs)] = dist
-        tables.extend(
-            list(zip(d, h, t))
-            for d, h, t in zip(dist.tolist(), hops.tolist(), txf.tolist())
-        )
-    return tables, latency
+        for dest, part in zip(out, edges.tables(srcs)):
+            dest[lo:lo + len(srcs)] = part
+    return out
 
 
 class _InEdges:

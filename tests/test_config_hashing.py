@@ -112,7 +112,11 @@ class TestSensitivity:
     @pytest.mark.parametrize("field,value", _FIELD_CHANGES)
     def test_any_field_change_changes_key(self, field, value):
         before = base_config()
-        after = replace(before, **{field: value})
+        if field == "loss_probability":
+            with pytest.warns(DeprecationWarning, match="loss_probability is deprecated"):
+                after = replace(before, **{field: value})
+        else:
+            after = replace(before, **{field: value})
         assert config_key(after) != config_key(before)
 
     def test_nested_cost_change_changes_key(self):

@@ -7,6 +7,10 @@ public item must carry documentation (deliverable (e)).
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -217,3 +221,26 @@ def test_public_methods_documented_on_core_classes():
                 continue
             if inspect.isfunction(member):
                 assert inspect.getdoc(member), f"{cls.__name__}.{attr} undocumented"
+
+
+def test_simulation_process_does_not_load_networkx():
+    """networkx is a test-only dependency (``Topology.to_networkx``):
+    importing the package and its API and running a simulation must not
+    load it, so every simulation, pool worker and fabric worker stays
+    free of its memory."""
+    import repro
+
+    script = (
+        "import sys\n"
+        "import repro, repro.api\n"
+        "from repro.experiments import SimulationConfig, run_simulation\n"
+        "run_simulation(SimulationConfig(rms='LOWEST', n_schedulers=2, n_resources=6,\n"
+        "                                workload_rate=0.004, horizon=200.0, drain=200.0))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

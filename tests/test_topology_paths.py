@@ -114,17 +114,26 @@ class TestShortestPathTables:
     """``shortest_path_tables`` must equal ``single_source`` bit for bit."""
 
     @staticmethod
-    def assert_matches(topo, sources):
-        tables, latency = shortest_path_tables(topo, sources)
-        assert len(tables) == len(sources)
-        assert latency.shape == (len(sources), topo.n_nodes)
+    def rows(tables):
+        """The arrays as ``single_source``-shaped lists of triples."""
+        return [
+            list(zip(d, h, t))
+            for d, h, t in zip(
+                tables.latency.tolist(), tables.hops.tolist(), tables.txf.tolist()
+            )
+        ]
+
+    def assert_matches(self, topo, sources):
+        tables = shortest_path_tables(topo, sources)
+        for a in tables:
+            assert a.shape == (len(sources), topo.n_nodes)
+        rows = self.rows(tables)
         for i, s in enumerate(sources):
             ref = single_source(topo, s)
-            assert tables[i] == ref
-            assert [tuple(map(type, x)) for x in tables[i]] == [
+            assert rows[i] == ref
+            assert [tuple(map(type, x)) for x in rows[i]] == [
                 tuple(map(type, x)) for x in ref
             ]
-            assert latency[i].tolist() == [d for d, _, _ in ref]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -152,7 +161,7 @@ class TestShortestPathTables:
 
     def test_dist_then_id_tie_break(self):
         topo = tie_topology()
-        tables, _ = shortest_path_tables(topo, [0])
+        tables = self.rows(shortest_path_tables(topo, [0]))
         assert tables[0][5] == (3.0, 2, 1 / 10.0 + 1 / 100.0)  # via 3, not 2
         assert tables[0][6] == (3.0, 3, (1 / 20.0 + 1 / 1000.0) + 1 / 100.0)  # via 2
         self.assert_matches(topo, list(range(7)))
@@ -165,9 +174,8 @@ class TestShortestPathTables:
         )
         whole = shortest_path_tables(topo, range(0, 40, 3))
         monkeypatch.setattr(paths, "_CHUNK_ELEMENTS", 1)
-        tables, latency = shortest_path_tables(topo, range(0, 40, 3))
-        assert tables == whole[0]
-        assert latency.tolist() == whole[1].tolist()
+        chunked = shortest_path_tables(topo, range(0, 40, 3))
+        assert self.rows(chunked) == self.rows(whole)
 
     def test_unreachable_and_isolated(self):
         t = Topology(4)
@@ -177,8 +185,8 @@ class TestShortestPathTables:
         self.assert_matches(Topology(1), [0])
 
     def test_no_sources(self):
-        tables, latency = shortest_path_tables(line(3), [])
-        assert tables == [] and latency.shape == (0, 3)
+        tables = shortest_path_tables(line(3), [])
+        assert all(a.shape == (0, 3) for a in tables)
 
     def test_invalid_source_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
