@@ -79,9 +79,6 @@ KNOBS: Dict[str, Knob] = {
         Knob("REPRO_CACHE_DIR", "str", ".repro-cache",
              "run-cache root; study manifests live under <dir>/manifests/",
              "RunCache / --cache-dir"),
-        Knob("REPRO_KERNEL_BACKEND", "str", "reference",
-             "kernel backend for every simulation (bit-identical; provenance only)",
-             "sim.backend / --kernel-backend"),
         Knob("REPRO_TRAFFIC_MODE", "str", "discrete",
              "traffic model: discrete per-message simulation or fluid rate charges",
              "fluid.plan / --traffic-mode"),

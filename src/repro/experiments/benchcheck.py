@@ -12,24 +12,20 @@ Two metric classes, two comparison rules:
   vary with the machine, so they are compared by *ratio* against two
   configurable tolerances: a regression beyond ``warn_tolerance``
   (default 10%) warns, beyond ``fail_tolerance`` (default 25%) fails.
-  Improvements never warn.  Schema-2 records carry a per-backend,
-  multi-case kernel section: each backend/case is compared against
-  **its own** baseline (never cross-backend), and the recorded
-  ``fast``/``reference`` speedup ratio is itself watched, so the fast
-  backend losing its algorithmic win trips the watchdog even when both
-  backends merely got "a bit slower".  Schema-1 baselines (single
-  reference storm) still load and compare.
+  Improvements never warn.  Each kernel case (``storm``, ``fel``) is
+  compared against its own baseline.  A record of any other schema
+  than the current one (4: one kernel) is rejected on load with a
+  one-line error — regenerate it with ``repro bench-perf``.
 * **Deterministic counts** (simulation counts, per-scale evaluation
   counts, the tuned settings themselves, the cross-worker identity
   flag) must match the baseline **exactly** — any drift means behavior
   changed, not just speed, and is always a failure.  Sections whose
   parameters differ from the baseline's (e.g. a CI smoke run over a
   subset of RMS designs) are *skipped*, not failed: timings across
-  different workloads are not comparable.  Likewise sections a tracked
-  baseline predates entirely (e.g. the schema-3 ``fluid`` section
-  against a schema-2 record) are skipped — an older baseline is not
-  evidence of a regression in a measurement it never made, and the
-  fresh benchmark does not even run those sections.
+  different workloads are not comparable.  Likewise a ``fluid``
+  section the baseline lacks (``bench-perf --no-fluid``) is skipped —
+  a baseline is not evidence of a regression in a measurement it
+  never made, and the fresh benchmark does not even run that section.
 
 ``--warn-only`` downgrades the exit code (never the report) so CI can
 surface regressions without gating merges on a noisy runner.
@@ -42,6 +38,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
+
+from .benchperf import BENCH_SCHEMA
 
 __all__ = [
     "CheckResult",
@@ -72,10 +70,15 @@ class CheckResult:
 
 
 def load_baseline(path: "str | Path") -> Dict[str, Any]:
-    """Read a ``BENCH_perf.json`` payload."""
+    """Read a ``BENCH_perf.json`` payload of the current schema."""
     payload = json.loads(Path(path).read_text("utf-8"))
     if "kernel" not in payload or "study" not in payload:
         raise ValueError(f"{path} does not look like a bench-perf record")
+    if payload.get("schema") != BENCH_SCHEMA:
+        raise ValueError(
+            f"{path} is a schema-{payload.get('schema')} bench-perf record; "
+            f"regenerate it with `repro bench-perf` (schema {BENCH_SCHEMA})"
+        )
     return payload
 
 
@@ -95,9 +98,8 @@ def run_current_bench(
     from .benchperf import run_bench
 
     arm_jobs = [a.get("jobs", 1) for a in baseline.get("study", {}).get("arms", [])]
-    kernel_cases = _kernel_cases(baseline)
-    storm = kernel_cases.get(("reference", "storm"), {})
-    fel = kernel_cases.get(("reference", "fel"), {})
+    storm = baseline["kernel"].get("storm", {})
+    fel = baseline["kernel"].get("fel", {})
     return run_bench(
         profile=profile if profile is not None else baseline.get("profile", "ci"),
         rms=rms if rms is not None else baseline.get("rms"),
@@ -107,7 +109,7 @@ def run_current_bench(
         jobs=jobs if jobs is not None else (max(arm_jobs) if arm_jobs else 4),
         kernel_events=storm.get("events", 200_000),
         fel_events=fel.get("events", 1_000_000),
-        # A baseline that predates the fluid section has nothing to
+        # A baseline without the fluid section has nothing to
         # compare it against — skip the minutes-long extreme-scale run.
         include_fluid="fluid" in baseline,
     )
@@ -156,26 +158,6 @@ def _exact_check(metric: str, base: Any, cur: Any) -> CheckResult:
     )
 
 
-def _kernel_cases(payload: Dict[str, Any]) -> Dict[tuple, Dict[str, Any]]:
-    """The kernel section as ``{(backend, case): record}``.
-
-    Schema 2 reads the per-backend ``backends`` map; a schema-1 record
-    (one flat reference storm) maps onto ``("reference", "storm")`` so
-    old baselines remain comparable.
-    """
-    kernel = payload.get("kernel") or {}
-    backends = kernel.get("backends")
-    if backends is not None:
-        return {
-            (name, case): rec
-            for name, cases in backends.items()
-            for case, rec in cases.items()
-        }
-    if kernel:
-        return {("reference", "storm"): kernel}
-    return {}
-
-
 def _study_params(payload: Dict[str, Any]) -> tuple:
     return (
         payload.get("profile"),
@@ -197,21 +179,14 @@ def compare_bench(
         raise ValueError("tolerances must satisfy 0 < warn <= fail")
     checks: List[CheckResult] = []
 
-    # -- kernel: per backend/case, each against its own baseline; a
-    #    case is parameter-compatible iff its event budget matches ------
-    b_cases, c_cases = _kernel_cases(baseline), _kernel_cases(current)
-    legacy = "backends" not in (baseline.get("kernel") or {})
-    for (backend, case), b_rec in sorted(b_cases.items()):
-        name = (
-            "kernel.events_per_sec"
-            if legacy
-            else f"kernel.{backend}.{case}.events_per_sec"
-        )
-        c_rec = c_cases.get((backend, case))
+    # -- kernel: per case, each against its own baseline; a case is
+    #    parameter-compatible iff its event budget matches --------------
+    b_cases, c_cases = baseline.get("kernel") or {}, current.get("kernel") or {}
+    for case, b_rec in sorted(b_cases.items()):
+        name = f"kernel.{case}.events_per_sec"
+        c_rec = c_cases.get(case)
         if c_rec is None:
-            checks.append(
-                CheckResult(name, "skip", "no matching backend/case in current record")
-            )
+            checks.append(CheckResult(name, "skip", "no matching case in current record"))
         elif b_rec.get("events") != c_rec.get("events"):
             checks.append(CheckResult(name, "skip", "event budgets differ"))
         else:
@@ -225,22 +200,6 @@ def compare_bench(
                     fail_tolerance,
                 )
             )
-    # The fast backend's algorithmic win is tracked as its own metric:
-    # the speedup ratio regressing matters even if both backends slowed
-    # down together (same machine noise cancels in the ratio).
-    b_speed = (baseline.get("kernel") or {}).get("speedup_fast_vs_reference") or {}
-    c_speed = (current.get("kernel") or {}).get("speedup_fast_vs_reference") or {}
-    for case in sorted(b_speed):
-        checks.append(
-            _timing_check(
-                f"kernel.speedup_fast_vs_reference.{case}",
-                b_speed.get(case),
-                c_speed.get(case),
-                True,
-                warn_tolerance,
-                fail_tolerance,
-            )
-        )
 
     # -- sims: same base config iff rms/runs and the profile match ------
     b_sims, c_sims = baseline.get("sims", {}), current.get("sims", {})
@@ -264,14 +223,14 @@ def compare_bench(
     else:
         checks.append(CheckResult("sims.sims_per_sec", "skip", "base configs differ"))
 
-    # -- fluid: skip when the baseline predates the section --------------
+    # -- fluid: skip when the baseline lacks the section -----------------
     b_fluid, c_fluid = baseline.get("fluid"), current.get("fluid")
     if b_fluid is None:
         checks.append(
             CheckResult(
                 "fluid",
                 "skip",
-                "section absent from baseline record (pre-fluid schema) "
+                "section absent from baseline record "
                 "— regenerate the baseline to start tracking it",
             )
         )

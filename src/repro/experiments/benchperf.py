@@ -4,13 +4,12 @@ Measures the three layers this codebase optimizes and writes them to
 ``BENCH_perf.json`` so the perf trajectory is recorded alongside the
 code:
 
-* **kernel** — raw event throughput (events/sec) of every registered
-  kernel backend, two cases each: a self-scheduling *storm* (steady
-  small heap: pure ``schedule``/``pop``/dispatch cost plus a lazy-cancel
-  stream) and *fel*, the future-event-list scaling case (preload a
-  large batch of events in arrival order — the workload-injection
-  pattern — then drain), with per-case ``fast`` vs ``reference``
-  speedups.
+* **kernel** — raw event throughput (events/sec) of the simulation
+  kernel in two cases: a self-scheduling *storm* (steady small heap:
+  pure ``schedule``/``pop``/dispatch cost plus a lazy-cancel stream)
+  and *fel*, the future-event-list scaling case (preload a large batch
+  of events in arrival order — the workload-injection pattern — then
+  drain).
 * **sims** — end-to-end simulation throughput (sims/sec) on a
   representative configuration, through the same
   :func:`~repro.experiments.runner.run_simulation` every experiment
@@ -43,6 +42,7 @@ from typing import Dict, List, Optional, Sequence
 from ..core.annealing import AnnealingSchedule
 from ..core.procedure import ScalabilityProcedure
 from ..rms.registry import rms_names
+from ..sim.kernel import Simulator
 from .cases import get_case, make_batch_simulate, make_simulate
 from .config import PROFILES, ScaleProfile, SimulationConfig
 from .parallel import ExperimentEngine
@@ -63,24 +63,24 @@ __all__ = [
 
 #: path the benchmark writes unless told otherwise
 DEFAULT_OUTPUT = "BENCH_perf.json"
+#: record format (4: one kernel, ``kernel`` maps case -> record)
+BENCH_SCHEMA = 4
 
 
 # ---------------------------------------------------------------------------
 # Layer 1: kernel dispatch throughput
 # ---------------------------------------------------------------------------
 
-def bench_kernel(events: int = 200_000, fanout: int = 4, backend: str = "reference") -> Dict:
+def bench_kernel(events: int = 200_000, fanout: int = 4) -> Dict:
     """Dispatch throughput of the bare DES kernel (events/sec).
 
     Runs a self-scheduling storm of ``fanout`` interleaved periodic
     chains plus a cancellation stream (so the event store sees pushes,
     pops, and lazy-cancel discards — the mix the real protocols
     produce), and reports how many events per wall-clock second the
-    selected ``backend`` retires.
+    kernel retires.
     """
-    from ..sim.backend import create_kernel
-
-    sim = create_kernel(backend)
+    sim = Simulator()
     state = {"left": events, "victim": None}
 
     def tick(lane: int) -> None:
@@ -111,19 +111,15 @@ def bench_kernel(events: int = 200_000, fanout: int = 4, backend: str = "referen
     }
 
 
-def bench_kernel_fel(events: int = 1_000_000, backend: str = "reference") -> Dict:
+def bench_kernel_fel(events: int = 1_000_000) -> Dict:
     """The future-event-list scaling case (events/sec, schedule + drain).
 
     Preloads ``events`` pending events in nondecreasing time order —
     exactly how the runner pre-schedules a workload's job arrivals —
-    then drains the whole list.  This is the regime the ROADMAP's
-    million-pending-event ambitions live in, and the case the ``fast``
-    backend's sorted-spine store is built for (the reference heap pays
-    an O(log n) sift per event here).
+    then drains the whole list: the million-pending-event regime, where
+    the heap pays an O(log n) sift per event.
     """
-    from ..sim.backend import create_kernel
-
-    sim = create_kernel(backend)
+    sim = Simulator()
 
     def _noop() -> None:
         pass
@@ -141,29 +137,11 @@ def bench_kernel_fel(events: int = 1_000_000, backend: str = "reference") -> Dic
 
 
 def bench_kernel_section(events: int = 200_000, fel_events: int = 1_000_000) -> Dict:
-    """The per-backend kernel section of the bench record (schema 2).
-
-    Every registered backend runs the same two cases; the section also
-    records the ``fast``/``reference`` speedup per case — the tracked
-    witness of the fast backend's win on the at-scale case.
-    """
-    from ..sim.backend import backend_names
-
-    backends = {
-        name: {
-            "storm": bench_kernel(events=events, backend=name),
-            "fel": bench_kernel_fel(events=fel_events, backend=name),
-        }
-        for name in backend_names()
+    """The kernel section of the bench record: ``{"storm": …, "fel": …}``."""
+    return {
+        "storm": bench_kernel(events=events),
+        "fel": bench_kernel_fel(events=fel_events),
     }
-    speedups = {}
-    ref = backends.get("reference")
-    fast = backends.get("fast")
-    if ref and fast:
-        for case in ("storm", "fel"):
-            base, cur = ref[case]["events_per_sec"], fast[case]["events_per_sec"]
-            speedups[case] = round(cur / base, 3) if base and cur else None
-    return {"backends": backends, "speedup_fast_vs_reference": speedups}
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +398,9 @@ def run_bench(
 ) -> Dict:
     """Run every layer and return the ``BENCH_perf.json`` payload.
 
-    Schema 3 adds the ``fluid`` section (cross-validated event-count
-    reduction at extreme scale); ``repro bench-check`` still reads
-    schema-1 and schema-2 baselines and skips sections they lack.
+    Schema 3 added the ``fluid`` section (cross-validated event-count
+    reduction at extreme scale); schema 4 records one kernel, so its
+    ``kernel`` section maps case name to record.
     ``include_fluid=False`` drops that section — the extreme-scale run
     is minutes of wall clock a quick kernel-only check may not want.
     """
@@ -458,7 +436,7 @@ def run_bench(
         for arm in arms
     }
     payload = {
-        "schema": 3,
+        "schema": BENCH_SCHEMA,
         "machine": {
             "platform": platform.platform(),
             "python": platform.python_version(),
@@ -497,25 +475,13 @@ def render_report(payload: Dict) -> str:
         f"perf benchmark — profile={payload['profile']} case={payload['case']} "
         f"seed={payload['seed']} rms={','.join(payload['rms'])}",
     ]
-    kernel = payload["kernel"]
-    if "backends" in kernel:  # schema 2: per-backend, multi-case
-        for name, cases in kernel["backends"].items():
-            per_case = ", ".join(
-                f"{case} {rec['events_per_sec']:,} ev/s ({rec['events']:,} events)"
-                for case, rec in cases.items()
-            )
-            lines.append(f"kernel[{name}]: {per_case}")
-        speed = kernel.get("speedup_fast_vs_reference") or {}
-        if speed:
-            lines.append(
-                "kernel fast vs reference: "
-                + ", ".join(f"{case} x{ratio}" for case, ratio in speed.items())
-            )
-    else:  # schema 1
-        lines.append(
-            f"kernel: {kernel['events_per_sec']:,} events/sec "
-            f"({kernel['events']:,} events in {kernel['seconds']:.3f}s)"
+    lines.append(
+        "kernel: "
+        + ", ".join(
+            f"{case} {rec['events_per_sec']:,} ev/s ({rec['events']:,} events)"
+            for case, rec in payload["kernel"].items()
         )
+    )
     lines.append(
         f"sims:   {payload['sims']['sims_per_sec']} sims/sec ({payload['sims']['rms']} base config)"
     )

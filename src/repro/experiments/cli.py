@@ -1051,15 +1051,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel-events",
         type=int,
         default=200_000,
-        help="event count of the kernel storm micro-benchmark "
-        "(each registered backend runs it)",
+        help="event count of the kernel storm micro-benchmark",
     )
     bench.add_argument(
         "--fel-events",
         type=int,
         default=1_000_000,
-        help="pending-event count of the kernel future-event-list scaling "
-        "case (each registered backend runs it)",
+        help="pending-event count of the kernel future-event-list scaling case",
     )
     bench.add_argument(
         "--no-fluid",

@@ -60,7 +60,6 @@ def engine_parent() -> argparse.ArgumentParser:
     none of it changes the measured numbers (``spec_digest`` excludes
     the spec-backed subset for exactly that reason).
     """
-    from ..sim.backend import backend_names
     from ..telemetry import flightrec
 
     p = argparse.ArgumentParser(add_help=False)
@@ -104,14 +103,6 @@ def engine_parent() -> argparse.ArgumentParser:
         default=None,
         help="flight-recorder bundle directory "
         f"(default: $REPRO_FLIGHT_DIR or {flightrec.DEFAULT_DIR}/)",
-    )
-    p.add_argument(
-        "--kernel-backend",
-        default=_spec_default("kernel_backend"),
-        choices=backend_names(),
-        help="kernel backend for every simulation (default: "
-        "$REPRO_KERNEL_BACKEND or reference); backends are bit-identical "
-        "— the choice affects speed only and is recorded as provenance",
     )
     p.add_argument(
         "--traffic-mode",
@@ -193,7 +184,6 @@ def spec_from_args(kind: str, args: argparse.Namespace, **overrides: Any) -> Stu
         cache_dir=g("cache_dir"),
         no_cache=bool(g("no_cache", False)),
         resume=bool(g("resume", False)),
-        kernel_backend=g("kernel_backend"),
         quantity=g("quantity"),
         precision=g("precision"),
     )

@@ -36,7 +36,6 @@ from .engine import ExperimentEngine, resolve_jobs
 from .hashing import (
     CACHE_SCHEMA_VERSION,
     CONDITIONAL_PROVENANCE_FIELDS,
-    PROVENANCE_FIELDS,
     canonical_config,
     config_key,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CONDITIONAL_PROVENANCE_FIELDS",
     "ExperimentEngine",
-    "PROVENANCE_FIELDS",
     "RunCache",
     "StudyManifest",
     "canonical_config",

@@ -213,22 +213,13 @@ class RunCache:
     def put(
         self, config: SimulationConfig, metrics: RunMetrics, key: Optional[str] = None
     ) -> None:
-        """Persist ``metrics`` under ``config``'s key (atomic replace).
-
-        The entry records which kernel backend produced the result —
-        provenance only: the key excludes the backend (backends are
-        bit-identical, so the entry serves every backend), and readers
-        ignore the field.
-        """
+        """Persist ``metrics`` under ``config``'s key (atomic replace)."""
         if not self.write:
             return
-        from ...sim.backend import resolve_backend
-
         path = self.path_for(key or config_key(config))
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": CACHE_SCHEMA_VERSION,
-            "kernel_backend": resolve_backend(config.kernel_backend),
             "metrics": metrics_to_jsonable(metrics),
         }
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

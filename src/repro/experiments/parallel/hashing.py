@@ -32,7 +32,6 @@ from ..config import SimulationConfig
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CONDITIONAL_PROVENANCE_FIELDS",
-    "PROVENANCE_FIELDS",
     "canonical_config",
     "config_key",
     "canonical_json",
@@ -44,19 +43,9 @@ __all__ = [
 #: entries hold last-ulp-different sequential sums and must not mix
 #: with fresh runs)
 #: (v3: SimulationConfig carries a FaultPlan — nested dataclasses
-#: canonicalize recursively, so it hashes automatically — the
-#: deprecated loss_probability knob canonicalizes onto the plan, and
+#: canonicalize recursively, so it hashes automatically — and
 #: RunMetrics may carry fault_stats)
 CACHE_SCHEMA_VERSION = 3
-
-#: config fields that record *how* a result was produced, not *what* it
-#: is — excluded from canonicalization so they never perturb the key.
-#: ``kernel_backend`` qualifies because backends are bit-identical by
-#: contract (the cross-backend differential suite enforces it): a cached
-#: result is valid under every backend, and keying on the backend would
-#: silently fork the cache.  Keys are therefore unchanged from before
-#: the field existed — no schema bump, old entries stay valid.
-PROVENANCE_FIELDS = frozenset({"kernel_backend"})
 
 #: fields that are provenance only in some states: ``monitor`` is
 #: dropped while the plan is passive (pure observation, results
@@ -97,15 +86,14 @@ def canonical_config(config: SimulationConfig) -> Dict[str, Any]:
     """The config as a nested dict of plain JSON types.
 
     Field order is irrelevant to the eventual key (serialization sorts
-    keys at every level).  Provenance fields (:data:`PROVENANCE_FIELDS`)
-    are dropped: they describe the execution vehicle, not the result.
+    keys at every level).
 
     The monitor plan is conditionally provenance: a **passive** plan
     (no probe charges) observes a run without changing anything it
     computes — F/G/H, attribution, and job outcomes are bit-identical
-    to an unmonitored run — so it is dropped like ``kernel_backend``
-    and keys stay unchanged from before the field existed (no schema
-    bump; old entries remain valid and shareable with monitored runs).
+    to an unmonitored run — so it is dropped and keys stay unchanged
+    from before the field existed (no schema bump; old entries remain
+    valid and shareable with monitored runs).
     An **active** plan charges ``g.monitor`` and therefore hashes like
     any semantic field.
 
@@ -121,8 +109,10 @@ def canonical_config(config: SimulationConfig) -> Dict[str, Any]:
     ``g.trace`` is hashed like any semantic field.
     """
     plain = _plain(config)
-    for name in PROVENANCE_FIELDS:
-        plain.pop(name, None)
+    # The retired ``loss_probability`` field hashed as 0 in every v3
+    # key (a nonzero value moved onto ``faults.link_loss``); pinning
+    # the constant keeps those keys bit-identical without a bump.
+    plain["loss_probability"] = 0
     if not config.monitor.is_active:
         plain.pop("monitor", None)
     if not config.fluid.is_fluid:

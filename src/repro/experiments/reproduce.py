@@ -19,7 +19,6 @@ from ..core.procedure import ScalabilityProcedure, ScalabilityResult
 from ..envknobs import get_bool, get_str, raw as _env_raw
 from ..fluid.plan import FluidPlan, resolve_fluid_plan
 from ..rms.registry import rms_names
-from ..sim.backend import resolve_backend
 from ..telemetry.spans import current as _telemetry
 from .cases import ExperimentCase, get_case, make_batch_simulate, make_simulate
 from .config import PROFILES, ScaleProfile
@@ -188,18 +187,12 @@ class Study:
         tuned settings (see :func:`resolve_warm_start`; default:
         ``$REPRO_WARM_START`` or on).  ``False`` restores the
         historical cold-start walk.
-    kernel_backend:
-        Kernel backend for every simulation of the study (default:
-        ``$REPRO_KERNEL_BACKEND`` or ``reference`` — see
-        :mod:`repro.sim.backend`).  Backends are bit-identical, so the
-        choice never enters point identities or cache keys; it is
-        recorded in the manifest payloads as provenance.
     fluid:
         Traffic model for every simulation of the study (default:
         ``$REPRO_TRAFFIC_MODE`` or discrete — see
         :mod:`repro.fluid.plan`).  A fluid plan changes what the runs
-        compute (G/H carry the modeled rates), so unlike the kernel
-        backend it *is* part of point identities and cache keys.
+        compute (G/H carry the modeled rates), so it is part of point
+        identities and cache keys.
     """
 
     def __init__(
@@ -213,7 +206,6 @@ class Study:
         manifest_path: "str | Path | None" = None,
         speculate: "bool | int | None" = None,
         warm_start: "bool | None" = None,
-        kernel_backend: Optional[str] = None,
         fluid: "FluidPlan | None" = None,
     ) -> None:
         if isinstance(profile, ScaleProfile):
@@ -230,7 +222,6 @@ class Study:
         self.engine = engine
         self.speculation = resolve_speculation(speculate)
         self.warm_start = resolve_warm_start(warm_start)
-        self.kernel_backend = resolve_backend(kernel_backend)
         self.fluid = fluid if fluid is not None else resolve_fluid_plan()
         self._manifest: Optional[StudyManifest] = None
         if resume or manifest_path is not None:
@@ -289,16 +280,10 @@ class Study:
         )
 
     def _series_payload(self, series: RMSSeries) -> Dict:
-        """Serialize one measured series for the manifest.
-
-        The kernel backend rides along as provenance only — it is not
-        part of the point key, so a manifest written under one backend
-        resumes cleanly under another (results are bit-identical).
-        """
+        """Serialize one measured series for the manifest."""
         return {
             "result": result_to_jsonable(series.result),
             "metrics": [metrics_to_jsonable(m) for m in series.metrics],
-            "kernel_backend": self.kernel_backend,
         }
 
     @staticmethod
@@ -317,11 +302,11 @@ class Study:
         memo: Dict = {}
         simulate = make_simulate(
             case, rms, self.profile, seed=self.seed, memo=memo, engine=self.engine,
-            kernel_backend=self.kernel_backend, fluid=self.fluid,
+            fluid=self.fluid,
         )
         batch = make_batch_simulate(
             case, rms, self.profile, seed=self.seed, memo=memo, engine=self.engine,
-            kernel_backend=self.kernel_backend, fluid=self.fluid,
+            fluid=self.fluid,
         )
         procedure = ScalabilityProcedure(
             simulate,

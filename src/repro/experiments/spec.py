@@ -49,11 +49,9 @@ SPEC_VERSION = 1
 KINDS = ("figure", "compare", "faults", "series", "trace")
 
 #: fields that do not affect the measured numbers — execution mechanics
-#: and presentation only; :func:`spec_digest` excludes them (the kernel
-#: backend is bit-identical by contract, hence provenance, not science)
+#: and presentation only; :func:`spec_digest` excludes them
 EXECUTION_FIELDS = frozenset(
-    {"jobs", "cache_dir", "no_cache", "resume", "kernel_backend",
-     "quantity", "precision"}
+    {"jobs", "cache_dir", "no_cache", "resume", "quantity", "precision"}
 )
 
 
@@ -87,7 +85,6 @@ class StudySpec:
     cache_dir: Optional[str] = None
     no_cache: bool = False
     resume: bool = False
-    kernel_backend: Optional[str] = None   # bit-identical: provenance only
 
     # -- how to present ------------------------------------------------
     quantity: Optional[str] = None         # kind=figure: plotted quantity
@@ -148,10 +145,15 @@ def spec_to_jsonable(spec: StudySpec) -> Dict[str, Any]:
 
 
 def spec_from_jsonable(payload: Dict[str, Any]) -> StudySpec:
-    """Build a :class:`StudySpec` from a JSON dict (unknown keys rejected)."""
+    """Build a :class:`StudySpec` from a JSON dict (unknown keys rejected).
+
+    The retired ``kernel_backend`` key, which older spec files and
+    fabric payloads carry, is dropped rather than rejected.
+    """
     if not isinstance(payload, dict):
         raise TypeError("a study spec must be a JSON object")
     payload = dict(payload)
+    payload.pop("kernel_backend", None)
     version = payload.pop("version", SPEC_VERSION)
     if version != SPEC_VERSION:
         raise ValueError(f"unsupported spec version {version!r} (have {SPEC_VERSION})")

@@ -7,7 +7,6 @@ Three collector flavours cover everything the experiments need:
   with numerically stable one-pass mean/variance (Welford).
 * :class:`TimeWeighted` — time-averaged piecewise-constant signals
   (queue lengths, resource utilization).
-* :class:`SeriesRecorder` — raw ``(time, value)`` traces for plots.
 
 These mirror the instrumentation a Parsec model would carry, and they are
 what :class:`repro.experiments.runner` aggregates into ``RunMetrics``.
@@ -16,9 +15,8 @@ what :class:`repro.experiments.runner` aggregates into ``RunMetrics``.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
 
-__all__ = ["Counter", "Tally", "TimeWeighted", "SeriesRecorder"]
+__all__ = ["Counter", "Tally", "TimeWeighted"]
 
 
 class Counter:
@@ -129,55 +127,3 @@ class TimeWeighted:
     def current(self) -> float:
         """The most recently recorded signal value."""
         return self._last_value
-
-
-class SeriesRecorder:
-    """``(time, value)`` trace with an optional memory bound.
-
-    Unbounded by default (every sample kept verbatim).  With
-    ``max_points`` set, reaching the bound doubles the recorder's
-    *stride* and drops every other retained point: a long run keeps at
-    most ``max_points`` samples, evenly thinned across its whole span
-    rather than truncated at either end.  Stride doubling keeps indices
-    aligned across decimations, so the retained points are always every
-    ``stride``-th original sample.
-    """
-
-    __slots__ = ("name", "times", "values", "max_points", "stride", "_skip")
-
-    def __init__(self, name: str, max_points: int = 0) -> None:
-        if max_points < 0:
-            raise ValueError("max_points must be >= 0 (0 = unbounded)")
-        if 0 < max_points < 2:
-            raise ValueError("a bounded recorder needs max_points >= 2")
-        self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-        self.max_points = max_points
-        #: every ``stride``-th offered sample is retained (1 = all)
-        self.stride = 1
-        self._skip = 0
-
-    def record(self, time: float, value: float) -> None:
-        """Offer one sample (kept or skipped per the current stride)."""
-        if self._skip:
-            self._skip -= 1
-            return
-        self._skip = self.stride - 1
-        self.times.append(time)
-        self.values.append(value)
-        if self.max_points and len(self.times) >= self.max_points:
-            self.times = self.times[::2]
-            self.values = self.values[::2]
-            self.stride *= 2
-            # The dropped half included the most recent point; the next
-            # retained sample is a full (new) stride after the last kept
-            # one, i.e. half a stride from now.
-            self._skip = self.stride // 2 - 1
-
-    def as_tuples(self) -> List[Tuple[float, float]]:
-        """Return the trace as a list of ``(time, value)`` pairs."""
-        return list(zip(self.times, self.values))
-
-    def __len__(self) -> int:
-        return len(self.times)

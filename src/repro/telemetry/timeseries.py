@@ -23,7 +23,7 @@ This module supplies that sensor layer in four pieces:
   pre-existing observer, exactly like the flight recorder) to bucket
   every charge into per-window F/G/H totals plus per-component G detail.
   The disabled path is the ledger's existing ``observer is None`` test:
-  runs without a plan pay nothing on either kernel backend's hot path.
+  runs without a plan pay nothing on the kernel's hot path.
 * :class:`ProbeSampler` — an in-sim sampling loop (configurable sim-time
   period) reading scheduler queue depths and in-flight dispatch counts,
   estimator queue depths and staleness/heartbeat gaps, resource
@@ -226,9 +226,7 @@ class WindowedSeries:
     When a timestamp lands at or past ``max_windows``, the window width
     doubles and adjacent buckets merge pairwise.  Sums add and counts
     add, so **every aggregate over the full series is invariant** —
-    only the resolution halves.  The same decimation rule as the
-    bounded :class:`~repro.sim.monitor.SeriesRecorder`, applied to
-    buckets instead of raw points.
+    only the resolution halves.
     """
 
     __slots__ = ("width", "max_windows", "windows", "_sums", "_ssum", "_scount")

@@ -182,8 +182,8 @@ def job_is_sampled(seed: int, job_id: int, sample: float) -> bool:
     """Whether a job is in the sampled set — a pure function.
 
     The decision hashes ``(seed, job_id)`` (BLAKE2b), so the same seed
-    always samples the same jobs regardless of worker count, kernel
-    backend, or traffic mode, and no simulation RNG stream is consumed.
+    always samples the same jobs regardless of worker count or traffic
+    mode, and no simulation RNG stream is consumed.
     """
     if sample <= 0.0:
         return False

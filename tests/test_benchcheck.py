@@ -15,13 +15,16 @@ from repro.experiments.benchcheck import (
 def record(**overrides):
     """A minimal, internally consistent bench-perf payload."""
     payload = {
-        "schema": 1,
+        "schema": 4,
         "profile": "ci",
         "case": 1,
         "seed": 7,
         "sa_iterations": 10,
         "rms": ["CENTRAL", "LOWEST"],
-        "kernel": {"events": 200_000, "seconds": 0.5, "events_per_sec": 400_000.0},
+        "kernel": {
+            "storm": {"events": 200_000, "seconds": 0.5, "events_per_sec": 400_000.0},
+            "fel": {"events": 1_000_000, "seconds": 3.0, "events_per_sec": 333_333.0},
+        },
         "sims": {"rms": "CENTRAL", "runs": 3, "seconds": 0.2, "sims_per_sec": 15.0},
         "fluid": {
             "overlap": {
@@ -80,6 +83,13 @@ def by_metric(checks):
     return {c.metric: c for c in checks}
 
 
+def with_storm(payload, **changes):
+    """``payload`` with its kernel storm record updated by ``changes``."""
+    kernel = payload["kernel"]
+    payload["kernel"] = dict(kernel, storm=dict(kernel["storm"], **changes))
+    return payload
+
+
 class TestCompare:
     def test_identity_passes_everything(self):
         checks = compare_bench(record(), record())
@@ -88,28 +98,28 @@ class TestCompare:
 
     def test_small_timing_regression_passes(self):
         cur = record()
-        cur["kernel"] = dict(cur["kernel"], events_per_sec=380_000.0)  # -5%
+        with_storm(cur, events_per_sec=380_000.0)  # -5%
         checks = compare_bench(record(), cur)
-        assert by_metric(checks)["kernel.events_per_sec"].status == "pass"
+        assert by_metric(checks)["kernel.storm.events_per_sec"].status == "pass"
 
     def test_timing_regression_warns_beyond_warn_tolerance(self):
         cur = record()
-        cur["kernel"] = dict(cur["kernel"], events_per_sec=340_000.0)  # -15%
+        with_storm(cur, events_per_sec=340_000.0)  # -15%
         checks = compare_bench(record(), cur)
-        check = by_metric(checks)["kernel.events_per_sec"]
+        check = by_metric(checks)["kernel.storm.events_per_sec"]
         assert check.status == "warn"
         assert "slower" in check.detail
 
     def test_timing_regression_fails_beyond_fail_tolerance(self):
         cur = record()
-        cur["kernel"] = dict(cur["kernel"], events_per_sec=280_000.0)  # -30%
+        with_storm(cur, events_per_sec=280_000.0)  # -30%
         checks = compare_bench(record(), cur)
-        assert by_metric(checks)["kernel.events_per_sec"].status == "fail"
+        assert by_metric(checks)["kernel.storm.events_per_sec"].status == "fail"
         assert worst_status(checks) == "fail"
 
     def test_improvement_never_warns(self):
         cur = record()
-        cur["kernel"] = dict(cur["kernel"], events_per_sec=800_000.0)  # 2x faster
+        with_storm(cur, events_per_sec=800_000.0)  # 2x faster
         cur["study"] = dict(cur["study"])
         cur["study"]["baseline"] = dict(cur["study"]["baseline"], seconds=10.0)
         checks = compare_bench(record(), cur)
@@ -151,9 +161,11 @@ class TestCompare:
 
     def test_different_kernel_budget_skips(self):
         cur = record()
-        cur["kernel"] = {"events": 50_000, "events_per_sec": 100_000.0}
+        cur["kernel"] = dict(
+            cur["kernel"], storm={"events": 50_000, "events_per_sec": 100_000.0}
+        )
         checks = compare_bench(record(), cur)
-        assert by_metric(checks)["kernel.events_per_sec"].status == "skip"
+        assert by_metric(checks)["kernel.storm.events_per_sec"].status == "skip"
 
     def test_different_study_params_skip_study_sections(self):
         cur = record(rms=["LOWEST"])
@@ -171,9 +183,9 @@ class TestCompare:
 
     def test_degenerate_timing_skips(self):
         cur = record()
-        cur["kernel"] = dict(cur["kernel"], events_per_sec=0.0)
+        with_storm(cur, events_per_sec=0.0)
         checks = compare_bench(record(), cur)
-        assert by_metric(checks)["kernel.events_per_sec"].status == "skip"
+        assert by_metric(checks)["kernel.storm.events_per_sec"].status == "skip"
 
     def test_tolerances_validated(self):
         with pytest.raises(ValueError):
@@ -185,10 +197,10 @@ class TestCompare:
 class TestRender:
     def test_report_lines_and_verdict(self):
         cur = record()
-        cur["kernel"] = dict(cur["kernel"], events_per_sec=280_000.0)
+        with_storm(cur, events_per_sec=280_000.0)
         checks = compare_bench(record(), cur)
         out = render_checks(checks, 0.10, 0.25)
-        assert "[FAIL] kernel.events_per_sec" in out
+        assert "[FAIL] kernel.storm.events_per_sec" in out
         assert out.endswith("verdict: FAIL")
 
     def test_warn_only_notes_unenforced_exit(self):
@@ -207,6 +219,17 @@ class TestLoadBaseline:
         path.write_text("{}")
         with pytest.raises(ValueError):
             load_baseline(path)
+
+    def test_rejects_old_shape_record(self, tmp_path):
+        import json
+
+        old = record(schema=3)
+        old["kernel"] = {"backends": {"reference": old["kernel"]}}
+        path = tmp_path / "BENCH_perf.json"
+        path.write_text(json.dumps(old))
+        with pytest.raises(ValueError, match="schema-3") as exc:
+            load_baseline(path)
+        assert "\n" not in str(exc.value)
 
     def test_loads_valid_payload(self, tmp_path):
         import json

@@ -90,7 +90,7 @@ class TestSurfaceSnapshot:
         shared = {
             "--jobs", "--no-cache", "--cache-dir", "--telemetry",
             "--telemetry-dir", "--flight-recorder", "--flight-dir",
-            "--kernel-backend", "--traffic-mode", "--aggregator-fanout",
+            "--traffic-mode", "--aggregator-fanout",
         }
         study = {"--rms", "--seed"}
         sub = _subparsers_of(build_parser())
@@ -113,8 +113,8 @@ class TestSurfaceSnapshot:
         sub = _subparsers_of(build_parser())
         fig = sub.choices["figure"]
         for action in fig._actions:
-            if action.dest in ("jobs", "cache_dir", "kernel_backend",
-                               "traffic_mode", "aggregator_fanout", "seed"):
+            if action.dest in ("jobs", "cache_dir", "traffic_mode",
+                               "aggregator_fanout", "seed"):
                 assert action.default == spec_defaults[action.dest], action.dest
 
     @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ from repro.experiments import SimulationConfig
 from repro.experiments.config import CommonParameters
 from repro.experiments.parallel import (
     CONDITIONAL_PROVENANCE_FIELDS,
-    PROVENANCE_FIELDS,
     canonical_config,
     config_key,
 )
@@ -100,7 +99,6 @@ _FIELD_CHANGES = [
     ("horizon", 4000.0),
     ("drain", 5000.0),
     ("seed", 8),
-    ("loss_probability", 0.1),
     ("estimator_batch_window", 15.0),
     ("dependency_prob", 0.2),
     ("max_parents", 3),
@@ -112,11 +110,7 @@ class TestSensitivity:
     @pytest.mark.parametrize("field,value", _FIELD_CHANGES)
     def test_any_field_change_changes_key(self, field, value):
         before = base_config()
-        if field == "loss_probability":
-            with pytest.warns(DeprecationWarning, match="loss_probability is deprecated"):
-                after = replace(before, **{field: value})
-        else:
-            after = replace(before, **{field: value})
+        after = replace(before, **{field: value})
         assert config_key(after) != config_key(before)
 
     def test_nested_cost_change_changes_key(self):
@@ -174,17 +168,13 @@ class TestCrossProcessStability:
     def test_canonical_form_covers_every_field(self):
         """No config field may *silently* escape the hash.
 
-        Every field is either hashed, explicitly declared provenance
-        (recorded alongside results but excluded from the key — e.g.
-        ``kernel_backend``, whose backends are bit-identical by
-        contract, so one cached result serves all of them), or declared
-        *conditionally* provenance (``monitor``: dropped while passive,
-        hashed once it charges).
+        Every field is either hashed or declared *conditionally*
+        provenance (``monitor``: dropped while passive, hashed once it
+        charges).
         """
         canon = canonical_config(base_config())
-        declared = PROVENANCE_FIELDS | CONDITIONAL_PROVENANCE_FIELDS
         for f in dataclasses.fields(SimulationConfig):
-            assert f.name in canon or f.name in declared
+            assert f.name in canon or f.name in CONDITIONAL_PROVENANCE_FIELDS
 
     def test_conditional_provenance_hashes_when_active(self):
         """An active monitor plan is semantics, not provenance."""
@@ -196,12 +186,3 @@ class TestCrossProcessStability:
         )
         assert "monitor" in canonical_config(active)
         assert config_key(active) != config_key(base_config())
-
-    def test_provenance_fields_excluded_from_hash(self):
-        """Declared provenance fields never perturb the key."""
-        canon = canonical_config(base_config())
-        for name in PROVENANCE_FIELDS:
-            assert name not in canon
-        ref = config_key(base_config())
-        assert config_key(replace(base_config(), kernel_backend="fast")) == ref
-        assert config_key(replace(base_config(), kernel_backend="reference")) == ref

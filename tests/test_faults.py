@@ -3,7 +3,6 @@ semantics of the grid layer, detection/re-dispatch end to end, and the
 determinism guarantees the run cache depends on."""
 
 import json
-import warnings
 
 import pytest
 
@@ -102,42 +101,6 @@ class TestFaultPlan:
     def test_timelines_coerced_to_tuples(self):
         plan = FaultPlan(crashes=[CrashEvent(resource=0, at=1.0)])
         assert isinstance(plan.crashes, tuple)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated loss_probability path
-# ---------------------------------------------------------------------------
-
-class TestLossProbabilityDeprecation:
-    def test_warns_and_canonicalizes(self):
-        with pytest.warns(DeprecationWarning):
-            config = tiny_config(loss_probability=0.2)
-        assert config.loss_probability == 0.0
-        assert config.faults.link_loss == 0.2
-
-    def test_equivalent_configs_equal_and_same_cache_key(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = tiny_config(loss_probability=0.25)
-        new = tiny_config(faults=FaultPlan(link_loss=0.25))
-        assert old == new
-        assert config_key(old) == config_key(new)
-
-    def test_equivalent_configs_identical_metrics(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = tiny_config(loss_probability=0.25)
-        new = tiny_config(faults=FaultPlan(link_loss=0.25))
-        assert metrics_json_bytes(run_simulation(old)) == metrics_json_bytes(
-            run_simulation(new)
-        )
-
-    def test_both_spellings_conflict(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                tiny_config(
-                    loss_probability=0.2, faults=FaultPlan(link_loss=0.1)
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,6 @@ MODULES = PACKAGES + [
     "repro.rms.si",
     "repro.rms.superscheduler",
     "repro.rms.syi",
-    "repro.sim.backend",
     "repro.sim.entity",
     "repro.sim.fastkernel",
     "repro.sim.kernel",

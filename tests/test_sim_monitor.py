@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Counter, SeriesRecorder, Tally, TimeWeighted
+from repro.sim import Counter, Tally, TimeWeighted
 
 
 class TestCounter:
@@ -127,51 +127,3 @@ class TestTimeWeighted:
         tw.update(1.0, 3.0)
         tw.update(1.0, 9.0)  # instantaneous change; 3.0 held for zero time
         assert tw.mean(2.0) == pytest.approx(9.0 / 2.0)
-
-
-class TestSeriesRecorder:
-    def test_records_pairs_in_order(self):
-        s = SeriesRecorder("s")
-        s.record(1.0, 10.0)
-        s.record(2.0, 20.0)
-        assert s.as_tuples() == [(1.0, 10.0), (2.0, 20.0)]
-        assert len(s) == 2
-
-    def test_unbounded_by_default(self):
-        s = SeriesRecorder("s")
-        for i in range(1000):
-            s.record(float(i), float(i))
-        assert len(s) == 1000 and s.stride == 1
-
-    def test_max_points_validation(self):
-        with pytest.raises(ValueError):
-            SeriesRecorder("s", max_points=-1)
-        with pytest.raises(ValueError):
-            SeriesRecorder("s", max_points=1)
-
-    def test_bounded_recorder_never_exceeds_max_points(self):
-        s = SeriesRecorder("s", max_points=16)
-        for i in range(10_000):
-            s.record(float(i), float(i))
-            assert len(s) <= 16
-
-    def test_decimation_keeps_every_stride_th_sample(self):
-        s = SeriesRecorder("s", max_points=8)
-        for i in range(64):
-            s.record(float(i), float(2 * i))
-        # after decimations the retained times are exact multiples of the
-        # stride, evenly thinned across the whole span
-        assert s.stride > 1
-        assert all(t % s.stride == 0 for t in s.times)
-        assert s.times == sorted(s.times)
-        assert s.times[0] == 0.0
-        # values still correspond to their times (pairs never shear)
-        assert all(v == 2 * t for t, v in s.as_tuples())
-
-    def test_decimation_covers_full_span(self):
-        s = SeriesRecorder("s", max_points=8)
-        n = 1000
-        for i in range(n):
-            s.record(float(i), 0.0)
-        # the newest retained point is within one stride of the end
-        assert s.times[-1] >= n - 1 - s.stride
