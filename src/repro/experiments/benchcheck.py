@@ -16,10 +16,15 @@ Two metric classes, two comparison rules:
   compared against its own baseline.  A record of any other schema
   than the current one (4: one kernel) is rejected on load with a
   one-line error — regenerate it with ``repro bench-perf``.
+  The fluid section's timing is ``fluid.timed.seconds``, the median of
+  repeated fluid runs at the extreme profile's 25k-resource point;
+  the fluid-vs-discrete ``speedup`` of the small overlap config is
+  reported but not gated (it divides two sub-second wall clocks).
 * **Deterministic counts** (simulation counts, per-scale evaluation
   counts, the tuned settings themselves, the cross-worker identity
-  flag) must match the baseline **exactly** — any drift means behavior
-  changed, not just speed, and is always a failure.  Sections whose
+  flag, the fluid runs' kernel-event and flow counts) must match the
+  baseline **exactly** — any drift means behavior changed, not just
+  speed, and is always a failure.  Sections whose
   parameters differ from the baseline's (e.g. a CI smoke run over a
   subset of RMS designs) are *skipped*, not failed: timings across
   different workloads are not comparable.  Likewise a ``fluid``
@@ -265,11 +270,49 @@ def compare_bench(
                 )
             )
             checks.append(
+                _exact_check(
+                    "fluid.overlap.event_reduction",
+                    b_ov.get("event_reduction"),
+                    c_ov.get("event_reduction"),
+                )
+            )
+            checks.append(
+                _exact_check(
+                    "fluid.overlap.stats",
+                    (b_ov.get("fluid") or {}).get("stats"),
+                    (c_ov.get("fluid") or {}).get("stats"),
+                )
+            )
+            # No check on the overlap's `speedup`: it divides two
+            # sub-second wall clocks, build included, so it moves with
+            # the host's noise and with whichever mode a change touches.
+            # The record reports it; fluid.timed is the fluid timing.
+        b_t, c_t = b_fluid.get("timed"), c_fluid.get("timed")
+        t_params = ("profile", "scale", "n_resources", "n_schedulers", "repeats")
+        if b_t is None or c_t is None:
+            checks.append(
+                CheckResult(
+                    "fluid.timed",
+                    "skip",
+                    f"section absent from {'baseline' if b_t is None else 'current'} record",
+                )
+            )
+        elif any(b_t.get(k) != c_t.get(k) for k in t_params):
+            checks.append(CheckResult("fluid.timed", "skip", "timed configs differ"))
+        else:
+            checks.append(
+                _exact_check(
+                    "fluid.timed.counts",
+                    {"kernel_events": b_t.get("kernel_events"), **(b_t.get("stats") or {})},
+                    {"kernel_events": c_t.get("kernel_events"), **(c_t.get("stats") or {})},
+                )
+            )
+            checks.append(
                 _timing_check(
-                    "fluid.overlap.speedup",
-                    b_ov.get("speedup"),
-                    c_ov.get("speedup"),
-                    True,
+                    "fluid.timed.seconds",
+                    b_t.get("seconds"),
+                    c_t.get("seconds"),
+                    False,
                     warn_tolerance,
                     fail_tolerance,
                 )

@@ -31,9 +31,11 @@ is deterministic for a fixed seed and flag set.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import platform
+import statistics
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -65,6 +67,11 @@ __all__ = [
 DEFAULT_OUTPUT = "BENCH_perf.json"
 #: record format (4: one kernel, ``kernel`` maps case -> record)
 BENCH_SCHEMA = 4
+#: scale of the extreme-profile point whose fluid run time is gated
+#: (k=1: 25k resources, 32 schedulers, a few seconds per run)
+TIMED_SCALE = 1.0
+#: rounds whose median is that point's recorded time
+TIMED_REPEATS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +211,19 @@ def _run_counting_events(config: SimulationConfig):
     return metrics, sim.events_executed, seconds, system
 
 
+def _fluid_run(config: SimulationConfig):
+    """``(metrics, kernel_events, seconds, fluid stats)`` of one run.
+
+    The built system is dropped, and the previous run's reference
+    cycles are collected before timing starts, so no two systems are
+    alive at once and no collection of an old one lands in the timing.
+    """
+    gc.collect()
+    metrics, events, seconds, system = _run_counting_events(config)
+    stats = system.fluid.stats() if system.fluid is not None else None
+    return metrics, events, seconds, stats
+
+
 def bench_fluid(
     rms: str = "LOWEST",
     seed: int = 7,
@@ -213,20 +233,27 @@ def bench_fluid(
     extreme_profile: "str | ScaleProfile" = "extreme",
     extreme_scale: float = 4.0,
 ) -> Dict:
-    """The fluid-traffic section: cross-validation plus extreme scale.
+    """The fluid-traffic section: cross-validation, timing, extreme scale.
 
-    Two measurements:
+    Three measurements:
 
     * **overlap** — the largest scale where discrete mode is still
       tractable *and unsaturated*, run in *both* modes on the identical
-      config.  Records the kernel-event counts, wall clocks, and the
-      F/G/H agreement (F must be bit-identical; G/H within the
-      documented tolerance), so the cross-validation contract is part
-      of the tracked record.  The estimator plane is sized Case-3
-      style (~8 resources per estimator by default) so discrete
-      estimators keep up with the update flow — a saturated discrete
-      estimator silently sheds work its fluid counterpart charges for,
-      which would poison the G comparison.
+      config.  Records the kernel-event counts, the fluid plane's flow
+      counts and the F/G/H agreement (F must be bit-identical; G/H
+      within the documented tolerance), so the cross-validation
+      contract is part of the tracked record.  The estimator plane is
+      sized Case-3 style (~8 resources per estimator by default) so
+      discrete estimators keep up with the update flow — a saturated
+      discrete estimator silently sheds work its fluid counterpart
+      charges for, which would poison the G comparison.  Its
+      ``speedup`` divides two sub-second wall clocks, build included,
+      and is reported only.
+    * **timed** — the extreme-profile point at ``TIMED_SCALE`` (25k
+      resources, 32 schedulers), fluid mode: a run long enough to time.
+      ``seconds`` is the median over ``TIMED_REPEATS`` rounds; each
+      round runs the overlap pair and then this point, so drift of the
+      host's speed during the bench reaches every median alike.
     * **extreme** — the extreme-profile Case-1 point (1e5 resources at
       the default scale), fluid mode only; discrete mode there is
       projected from the overlap run's per-resource event density
@@ -255,10 +282,20 @@ def bench_fluid(
         drain=prof.drain,
         seed=seed,
     )
-    d_metrics, d_events, d_seconds, _ = _run_counting_events(overlap_cfg)
-    f_metrics, f_events, f_seconds, f_system = _run_counting_events(
-        replace(overlap_cfg, fluid=FluidPlan(mode="fluid"))
-    )
+    fluid = FluidPlan(mode="fluid")
+    case = get_case(1)
+    timed_cfg = case.config_for(rms, TIMED_SCALE, prof, seed=seed, fluid=fluid)
+    d_secs: List[float] = []
+    f_secs: List[float] = []
+    t_secs: List[float] = []
+    for _ in range(TIMED_REPEATS):
+        d_metrics, d_events, secs, _ = _fluid_run(overlap_cfg)
+        d_secs.append(secs)
+        f_metrics, f_events, secs, f_stats = _fluid_run(replace(overlap_cfg, fluid=fluid))
+        f_secs.append(secs)
+        t_metrics, t_events, secs, t_stats = _fluid_run(timed_cfg)
+        t_secs.append(secs)
+    d_seconds, f_seconds = statistics.median(d_secs), statistics.median(f_secs)
 
     def _delta_pct(base: float, cur: float) -> Optional[float]:
         # None = incomparable (zero base); infinities are not valid JSON
@@ -279,7 +316,7 @@ def bench_fluid(
         "fluid": {
             "kernel_events": f_events,
             "seconds": round(f_seconds, 3),
-            "stats": f_system.fluid.stats(),
+            "stats": f_stats,
         },
         "event_reduction": (
             round(d_events / f_events, 1) if f_events else None
@@ -289,13 +326,20 @@ def bench_fluid(
         "G_delta_pct": _delta_pct(d_metrics.record.G, f_metrics.record.G),
         "H_delta_pct": _delta_pct(d_metrics.record.H, f_metrics.record.H),
     }
+    timed = {
+        "profile": prof.name,
+        "scale": TIMED_SCALE,
+        "n_resources": timed_cfg.n_resources,
+        "n_schedulers": timed_cfg.n_schedulers,
+        "repeats": TIMED_REPEATS,
+        "seconds": round(statistics.median(t_secs), 3),
+        "kernel_events": t_events,
+        "stats": t_stats,
+        "G": t_metrics.record.G,
+    }
 
-    case = get_case(1)
-    extreme_cfg = case.config_for(
-        rms, extreme_scale, prof, seed=seed, fluid=FluidPlan(mode="fluid")
-    )
-    e_metrics, e_events, e_seconds, e_system = _run_counting_events(extreme_cfg)
-    stats = e_system.fluid.stats()
+    extreme_cfg = case.config_for(rms, extreme_scale, prof, seed=seed, fluid=fluid)
+    e_metrics, e_events, e_seconds, stats = _fluid_run(extreme_cfg)
     # Discrete kernel events scale ~linearly in resources x horizon at a
     # fixed per-resource rate (the status/keepalive storms dominate), so
     # the overlap run's event density projects the intractable run.
@@ -319,7 +363,7 @@ def bench_fluid(
             round(projected / e_events, 1) if e_events else None
         ),
     }
-    return {"overlap": overlap, "extreme": extreme}
+    return {"overlap": overlap, "timed": timed, "extreme": extreme}
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +538,13 @@ def render_report(payload: Dict) -> str:
             f"F identical: {'yes' if ov['F_identical'] else 'NO — BUG'}, "
             f"G {ov['G_delta_pct']:+g}%, H {ov['H_delta_pct']:+g}%"
         )
+        timed = fluid.get("timed")
+        if timed:
+            lines.append(
+                f"fluid timed ({timed['n_resources']:,} resources): "
+                f"{timed['seconds']}s median of {timed['repeats']}, "
+                f"{timed['kernel_events']:,} kernel events"
+            )
         lines.append(
             f"fluid extreme ({ex['n_resources']:,} resources, {ex['rms'] if 'rms' in ex else ov['rms']}): "
             f"{ex['fluid']['kernel_events']:,} kernel events in {ex['fluid']['seconds']}s "

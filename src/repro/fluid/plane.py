@@ -490,7 +490,7 @@ class FluidStatusPlane:
             entries = pend[c]
             est.forwarded += 1
             self.modeled_forwards += 1
-            scheduler.fluid_status(c, entries)
+            scheduler.fluid_status(entries)
             if scheduler.node != est.node:
                 self.network.record_modeled(
                     MessageKind.STATUS_FORWARD,
@@ -527,7 +527,7 @@ class FluidStatusPlane:
             if scheduler is None:
                 continue
             self.modeled_forwards += 1
-            scheduler.fluid_status(c, merged[c])
+            scheduler.fluid_status(merged[c])
 
     # ------------------------------------------------------------------
     # Probe taps (all O(levels) or O(estimators), never O(resources))

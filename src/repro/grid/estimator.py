@@ -31,7 +31,7 @@ import math
 from typing import Dict, Optional, Set
 
 from ..core.ledger import Category, CostLedger
-from ..network.messages import Message, MessageKind
+from ..network.messages import Message, MessageKind, StatusForward
 from ..sim.entity import MessageServer
 from ..sim.kernel import Simulator
 from .costs import CostModel
@@ -122,7 +122,7 @@ class Estimator(MessageServer):
             self._watch_timeout is not None
             and getattr(message, "kind", None) == MessageKind.STATUS_UPDATE
         ):
-            rid = message.payload["resource_id"]
+            rid = message.resource_id
             if rid in self._watched:
                 # A report created before the death was declared is not
                 # evidence of revival — it was in flight when the node
@@ -135,7 +135,7 @@ class Estimator(MessageServer):
                 if not (
                     declared is not None and sent is not None and sent <= declared
                 ):
-                    incarnation = message.payload.get("incarnation", 0)
+                    incarnation = message.incarnation
                     previous = self._last_incarnation.get(rid)
                     if (
                         previous is not None
@@ -157,8 +157,8 @@ class Estimator(MessageServer):
         """Absorb the update; forward now (unbatched) or at the flush."""
         if message.kind != MessageKind.STATUS_UPDATE:
             raise ValueError(f"estimator {self.name} got unexpected {message.kind}")
+        rid = message.resource_id
         if self._watch_timeout is not None:
-            rid = message.payload["resource_id"]
             if rid in self._watched:
                 # Drop pre-declaration reports for state too — a stale
                 # load snapshot must not revive the dead entry in the
@@ -167,17 +167,14 @@ class Estimator(MessageServer):
                 sent = message.created_at
                 if declared is not None and sent is not None and sent <= declared:
                     return
-        cluster_id = message.payload["cluster_id"]
+        cluster_id = message.cluster_id
         if cluster_id not in self.schedulers:
             return  # estimator covers no resources of that cluster
         if self.batch_window <= 0.0:
-            self._forward(
-                cluster_id,
-                {message.payload["resource_id"]: message.payload["load"]},
-            )
+            self._forward(cluster_id, {rid: message.load})
             return
         bucket = self._pending.setdefault(cluster_id, {})
-        bucket[message.payload["resource_id"]] = message.payload["load"]
+        bucket[rid] = message.load
         if self._flush_event is None:
             self._flush_event = self.sim.schedule(self.batch_window, self._flush)
 
@@ -198,11 +195,7 @@ class Estimator(MessageServer):
         scheduler = self.schedulers.get(cluster_id)
         if scheduler is None:  # pragma: no cover - guarded in handle()
             return
-        fwd = Message(
-            MessageKind.STATUS_FORWARD,
-            payload={"cluster_id": cluster_id, "entries": entries},
-            size=max(1.0, float(len(entries))),
-        )
+        fwd = StatusForward(cluster_id, entries)
         self.forwarded += 1
         if scheduler.node == self.node:
             # Co-located (base configuration): local handoff, no network.

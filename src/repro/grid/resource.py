@@ -27,7 +27,7 @@ from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
 from ..core.ledger import Category, CostLedger
-from ..network.messages import Message, MessageKind
+from ..network.messages import Message, MessageKind, StatusUpdate
 from ..sim.entity import Entity
 from ..sim.kernel import Simulator
 from ..sim.monitor import TimeWeighted
@@ -412,15 +412,7 @@ class Resource(Entity):
             self._last_reported_load = load
             self._last_sent_time = self.sim.now
             self.network.send_from(
-                Message(
-                    MessageKind.STATUS_UPDATE,
-                    payload={
-                        "resource_id": self.resource_id,
-                        "cluster_id": self.cluster_id,
-                        "load": load,
-                        "incarnation": self.incarnation,
-                    },
-                ),
+                StatusUpdate(self.resource_id, self.cluster_id, load, self.incarnation),
                 self,
                 self.estimator,
             )

@@ -195,18 +195,12 @@ class SchedulerBase(MessageServer):
             job = message.payload["job"]
             self.jobs_received_remote += 1
             self.on_job_transfer(job)
-        elif kind in (MessageKind.STATUS_FORWARD, MessageKind.STATUS_UPDATE):
-            p = message.payload
+        elif kind == MessageKind.STATUS_FORWARD:
             if self.table is not None:
-                # Batched forwards carry an {resource_id: load} dict;
-                # unbatched/raw updates carry a single pair.
-                entries = p.get("entries")
-                if entries is None:
-                    entries = {p["resource_id"]: p["load"]}
-                for rid, load in entries.items():
+                for rid, load in message.entries.items():
                     if rid in self.table:
                         self.table.record(rid, load, self.sim.now)
-            self.after_status_update(p)
+            self.after_status_update()
         elif kind == MessageKind.JOB_COMPLETE:
             job = message.payload["job"]
             self._inflight.pop(job.job_id, None)
@@ -237,7 +231,9 @@ class SchedulerBase(MessageServer):
             self.on_demand(message)
         elif kind == MessageKind.DEMAND_REPLY:
             self.on_demand_reply(message)
-        else:  # pragma: no cover - guarded by service_time already
+        else:
+            # a STATUS_UPDATE (resources report to estimators, which
+            # forward), or a kind service_time already refused
             raise ValueError(f"{self.name}: unhandled message {kind}")
 
     # ------------------------------------------------------------------
@@ -250,7 +246,7 @@ class SchedulerBase(MessageServer):
             self._source_cache[MessageKind.STATUS_FORWARD] = source
         return source
 
-    def fluid_status(self, cluster_id: int, entries: Dict[int, float]) -> None:
+    def fluid_status(self, entries: Dict[int, float]) -> None:
         """Apply one modeled ``STATUS_FORWARD`` (fluid traffic mode).
 
         Charges the same ``update_proc`` / ``UPDATE_RX`` cell a
@@ -269,7 +265,7 @@ class SchedulerBase(MessageServer):
             for rid, load in entries.items():
                 if rid in self.table:
                     self.table.record(rid, load, self.sim.now)
-        self.after_status_update({"cluster_id": cluster_id, "entries": entries})
+        self.after_status_update()
 
     # ------------------------------------------------------------------
     # Primitives shared by all protocols
@@ -451,7 +447,7 @@ class SchedulerBase(MessageServer):
         inter-cluster move per decision, as in Zhou's models)."""
         self.schedule_local(job)
 
-    def after_status_update(self, payload: dict) -> None:
+    def after_status_update(self) -> None:
         """Hook invoked after a status update refreshed the table
         (AUCTION and R-I/Sy-I evaluate their push triggers here)."""
 

@@ -15,13 +15,20 @@ Each kind carries a default payload size (in abstract payload units)
 used by the transport to price transmission time on finite-bandwidth
 links; job transfers are an order of magnitude heavier than control
 messages, matching the usual Grid assumption.
+
+The two status-plane kinds that repeat per resource and per batch
+window have their own slotted subclasses, :class:`StatusUpdate` and
+:class:`StatusForward`, whose fields are attributes instead of a
+payload dict (their ``payload`` is ``None``): a saturated estimator
+queues tens of thousands of updates, and a payload dict would be most
+of each one's memory.  Every other kind carries a payload dict.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-__all__ = ["MessageKind", "Message", "DEFAULT_SIZES"]
+__all__ = ["MessageKind", "Message", "StatusUpdate", "StatusForward", "DEFAULT_SIZES"]
 
 
 class MessageKind:
@@ -99,7 +106,8 @@ class Message:
         Originating entity (its ``node`` locates the source router); may
         be ``None`` for external workload injection.
     payload:
-        Kind-specific dictionary (job references, load figures, ...).
+        Kind-specific dictionary (job references, bids, ...); ``None``
+        on the typed status-plane messages.
     size:
         Payload size in payload units (defaults to ``DEFAULT_SIZES``).
     created_at:
@@ -136,3 +144,45 @@ class Message:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         src = getattr(self.sender, "name", None)
         return f"Message({self.kind} from {src}, size={self.size})"
+
+
+class StatusUpdate(Message):
+    """A resource's load report to its estimator (``STATUS_UPDATE``).
+
+    ``incarnation`` counts the resource's reboots, so an estimator's
+    liveness watch can tell a restarted resource from a live one.
+    """
+
+    __slots__ = ("resource_id", "cluster_id", "load", "incarnation")
+
+    def __init__(self, resource_id: int, cluster_id: int, load: float, incarnation: int) -> None:
+        # Slots are set directly: Message.__init__ would give ``payload``
+        # an empty dict, the allocation this class exists to avoid.
+        self.kind = MessageKind.STATUS_UPDATE
+        self.sender = None
+        self.payload = None
+        self.size = 1.0
+        self.created_at = None
+        self.trace = None
+        self.resource_id = resource_id
+        self.cluster_id = cluster_id
+        self.load = load
+        self.incarnation = incarnation
+
+
+class StatusForward(Message):
+    """An estimator's batch of loads for one cluster's scheduler
+    (``STATUS_FORWARD``): ``entries`` maps resource id to load, and the
+    size is one payload unit per entry (at least one)."""
+
+    __slots__ = ("cluster_id", "entries")
+
+    def __init__(self, cluster_id: int, entries: Dict[int, float]) -> None:
+        self.kind = MessageKind.STATUS_FORWARD
+        self.sender = None
+        self.payload = None
+        self.size = max(1.0, float(len(entries)))
+        self.created_at = None
+        self.trace = None
+        self.cluster_id = cluster_id
+        self.entries = entries

@@ -92,7 +92,7 @@ class AuctionScheduler(SchedulerBase):
                 )
             self.sim.schedule(self.auction_window, self._close_auction, auction_id)
 
-    def after_status_update(self, payload: dict) -> None:
+    def after_status_update(self) -> None:
         """Fresh state may reveal an idle resource worth auctioning."""
         self._maybe_invite()
 

@@ -81,7 +81,7 @@ class ReserveScheduler(SchedulerBase):
                     peer,
                 )
 
-    def after_status_update(self, payload: dict) -> None:
+    def after_status_update(self) -> None:
         """Re-evaluate the advertisement trigger on fresh state."""
         self._maybe_advertise()
 

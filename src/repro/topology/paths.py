@@ -224,9 +224,13 @@ class _InEdges:
         tail, w, blocks = self.tail, self.w, self.blocks
         head = dist[: self.n_linked]
 
-        # Latency: Jacobi Bellman–Ford to its fixed point.
+        # Latency: Jacobi Bellman–Ford to its fixed point.  The
+        # sources x edges temporaries dominate the memory of the whole
+        # computation, so each is updated in place where possible and
+        # freed as soon as it has been used.
         while True:
-            cand = dist[tail] + w
+            cand = dist[tail]
+            cand += w
             best = np.minimum(head, cand[: blocks[0][1]])
             for a, b in blocks[1:]:
                 part = best[: b - a]
@@ -234,10 +238,12 @@ class _InEdges:
             if np.array_equal(best, head):
                 break
             head[...] = best
+            del cand, best
 
         # Precondition: every edge lengthens every distance it extends.
         base = dist[tail]
-        bad = (cand <= base) & (base < math.inf)
+        bad = cand <= base
+        bad &= base < math.inf
         if bad.any():
             e, s = np.argwhere(bad)[0]
             u, v = self.order[tail[e]], self.order[self.head[e]]
@@ -245,6 +251,7 @@ class _InEdges:
                 f"link ({u}, {v}) latency {w[e, 0]!r} does not lengthen "
                 f"distance {base[e, s]!r} from source {sources[s]}"
             )
+        del bad, best
 
         # Predecessor: the first tight in-edge in (D[u], u) order, the
         # neighbour whose relaxation Dijkstra applies first.  Unreached
@@ -258,6 +265,7 @@ class _InEdges:
             take &= base[a:b] < key[:m]
             np.copyto(key[:m], base[a:b], where=take)
             np.copyto(pred[:m], edge_id[a:b], where=take)
+        del cand, base, key, take, edge_id
 
         # Hops and transmission factor: H[v] = H[pred] + 1 and
         # T[v] = T[pred] + 1/bw over the whole predecessor forest, until
@@ -271,6 +279,7 @@ class _InEdges:
         up = np.where(has, tail[via] * n_src + cols, itself).ravel()
         step = np.where(has, self.inv[via], 0.0).ravel()
         one = has.ravel().astype(np.int64)
+        del itself, via, has, pred
         while True:
             h = hops.take(up)
             h += one

@@ -41,6 +41,17 @@ def record(**overrides):
                 "G_delta_pct": 0.8,
                 "H_delta_pct": 0.0,
             },
+            "timed": {
+                "profile": "extreme",
+                "scale": 1.0,
+                "n_resources": 25_000,
+                "n_schedulers": 32,
+                "repeats": 3,
+                "seconds": 4.0,
+                "kernel_events": 1_200,
+                "stats": {"flushes": 225, "modeled_updates": 950_000},
+                "G": 4_602_241.5,
+            },
             "extreme": {
                 "profile": "extreme",
                 "scale": 4.0,
@@ -304,3 +315,46 @@ class TestFluidSection:
             "warn",
             "fail",
         )
+
+    def test_overlap_counts_gated_exactly(self):
+        current = record()
+        current["fluid"] = dict(current["fluid"])
+        current["fluid"]["overlap"] = dict(
+            current["fluid"]["overlap"], event_reduction=55.7
+        )
+        checks = by_metric(compare_bench(record(), current))
+        assert checks["fluid.overlap.event_reduction"].status == "fail"
+        assert checks["fluid.overlap.stats"].status == "pass"
+
+    def test_overlap_speedup_is_not_gated(self):
+        current = record()
+        current["fluid"] = dict(current["fluid"])
+        current["fluid"]["overlap"] = dict(current["fluid"]["overlap"], speedup=1.0)
+        checks = compare_bench(record(), current)
+        assert worst_status(checks) == "pass"
+        assert not any("speedup" in c.metric for c in checks)
+
+    def test_timed_point_slowdown_fails(self):
+        current = record()
+        current["fluid"] = dict(current["fluid"])
+        current["fluid"]["timed"] = dict(current["fluid"]["timed"], seconds=6.0)
+        checks = by_metric(compare_bench(record(), current))
+        assert checks["fluid.timed.seconds"].status == "fail"
+        assert checks["fluid.timed.counts"].status == "pass"
+
+    def test_timed_point_count_drift_fails(self):
+        current = record()
+        current["fluid"] = dict(current["fluid"])
+        current["fluid"]["timed"] = dict(
+            current["fluid"]["timed"], stats={"flushes": 225, "modeled_updates": 1}
+        )
+        checks = by_metric(compare_bench(record(), current))
+        assert checks["fluid.timed.counts"].status == "fail"
+
+    def test_baseline_without_timed_point_skips(self):
+        baseline = record()
+        baseline["fluid"] = dict(baseline["fluid"])
+        del baseline["fluid"]["timed"]
+        checks = by_metric(compare_bench(baseline, record()))
+        assert checks["fluid.timed"].status == "skip"
+        assert "baseline" in checks["fluid.timed"].detail

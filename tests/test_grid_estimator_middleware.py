@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Category
 from repro.grid import Estimator
-from repro.network import Message, MessageKind
+from repro.network import Message, MessageKind, StatusUpdate
 
 from helpers import MiniGrid
 
@@ -14,12 +14,7 @@ class TestEstimator:
         g = MiniGrid(n_clusters=2, resources_per_cluster=2)
         est = g.estimators[0]
         sched = g.schedulers[0]
-        est.deliver(
-            Message(
-                MessageKind.STATUS_UPDATE,
-                payload={"resource_id": 0, "cluster_id": 0, "load": 3},
-            )
-        )
+        est.deliver(StatusUpdate(0, 0, 3, 0))
         g.sim.run()
         assert est.forwarded == 1
         assert sched.table.load_of(0) == 3
@@ -27,12 +22,7 @@ class TestEstimator:
     def test_colocated_forward_skips_network(self):
         g = MiniGrid(n_clusters=1, resources_per_cluster=1)
         sent_before = g.network.messages_sent
-        g.estimators[0].deliver(
-            Message(
-                MessageKind.STATUS_UPDATE,
-                payload={"resource_id": 0, "cluster_id": 0, "load": 1},
-            )
-        )
+        g.estimators[0].deliver(StatusUpdate(0, 0, 1, 0))
         g.sim.run()
         assert g.network.messages_sent == sent_before  # local handoff
         assert g.schedulers[0].table.load_of(0) == 1
@@ -44,12 +34,7 @@ class TestEstimator:
         est.network = g.network
         est.schedulers = {0: g.schedulers[0]}
         sent_before = g.network.messages_sent
-        est.deliver(
-            Message(
-                MessageKind.STATUS_UPDATE,
-                payload={"resource_id": 0, "cluster_id": 0, "load": 2},
-            )
-        )
+        est.deliver(StatusUpdate(0, 0, 2, 0))
         g.sim.run()
         assert g.network.messages_sent == sent_before + 1
         assert g.schedulers[0].table.load_of(0) == 2
@@ -57,12 +42,7 @@ class TestEstimator:
     def test_unknown_cluster_dropped(self):
         g = MiniGrid(n_clusters=1, resources_per_cluster=1)
         est = g.estimators[0]
-        est.deliver(
-            Message(
-                MessageKind.STATUS_UPDATE,
-                payload={"resource_id": 0, "cluster_id": 7, "load": 2},
-            )
-        )
+        est.deliver(StatusUpdate(0, 7, 2, 0))
         g.sim.run()
         assert est.forwarded == 0
 
@@ -75,12 +55,7 @@ class TestEstimator:
     def test_busy_time_charged_as_rms_overhead(self):
         g = MiniGrid(n_clusters=1, resources_per_cluster=1)
         before = g.ledger.total(Category.ESTIMATOR)
-        g.estimators[0].deliver(
-            Message(
-                MessageKind.STATUS_UPDATE,
-                payload={"resource_id": 0, "cluster_id": 0, "load": 1},
-            )
-        )
+        g.estimators[0].deliver(StatusUpdate(0, 0, 1, 0))
         g.sim.run()
         assert g.ledger.total(Category.ESTIMATOR) == pytest.approx(
             before + g.costs.estimator_proc

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Category
 from repro.grid import JobState
-from repro.network import Message, MessageKind
+from repro.network import Message, MessageKind, StatusForward
 from repro.workload import JobClass
 
 from helpers import MiniGrid, make_job
@@ -140,28 +140,19 @@ class TestPrimitives:
         g = MiniGrid(n_clusters=1, resources_per_cluster=2)
         s = g.schedulers[0]
         seen = []
-        s.after_status_update = lambda p: seen.append(p)
-        s.deliver(
-            Message(
-                MessageKind.STATUS_FORWARD,
-                payload={"resource_id": 1, "cluster_id": 0, "load": 7},
-            )
-        )
+        # the hook sees the table already refreshed
+        s.after_status_update = lambda: seen.append(s.table.load_of(1))
+        s.deliver(StatusForward(0, {1: 7}))
         g.sim.run()
         assert s.table.load_of(1) == 7
-        assert seen and seen[0]["load"] == 7
+        assert seen and seen[0] == 7
 
     def test_foreign_status_update_ignored_but_hooked(self):
         g = MiniGrid(n_clusters=2, resources_per_cluster=1)
         s = g.schedulers[0]
         seen = []
-        s.after_status_update = lambda p: seen.append(p)
-        s.deliver(
-            Message(
-                MessageKind.STATUS_FORWARD,
-                payload={"resource_id": 1, "cluster_id": 1, "load": 9},
-            )
-        )
+        s.after_status_update = lambda: seen.append(None)
+        s.deliver(StatusForward(1, {1: 9}))
         g.sim.run()
         # resource 1 belongs to cluster 1; table untouched, hook fired.
         assert len(seen) == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.grid import JobState
-from repro.network import Message, MessageKind
+from repro.network import Message, MessageKind, StatusForward
 from repro.rms import AuctionScheduler, ReserveScheduler
 from repro.workload import JobClass
 
@@ -28,14 +28,7 @@ class TestReserve:
     def trigger_advert(self, sched):
         """Feed a status update so the idle cluster advertises."""
         sched.deliver(
-            Message(
-                MessageKind.STATUS_FORWARD,
-                payload={
-                    "resource_id": min(sched.table.loads()),
-                    "cluster_id": sched.scheduler_id,
-                    "load": 0,
-                },
-            )
+            StatusForward(sched.scheduler_id, {min(sched.table.loads()): 0})
         )
 
     def test_idle_cluster_advertises(self):
@@ -137,14 +130,7 @@ class TestAuction:
 
     def feed_update(self, sched, load=0):
         sched.deliver(
-            Message(
-                MessageKind.STATUS_FORWARD,
-                payload={
-                    "resource_id": min(sched.table.loads()),
-                    "cluster_id": sched.scheduler_id,
-                    "load": load,
-                },
-            )
+            StatusForward(sched.scheduler_id, {min(sched.table.loads()): load})
         )
 
     def test_local_class_jobs_bypass_auction(self):

@@ -9,7 +9,7 @@ vs auctions).
 import pytest
 
 from repro.core import Category
-from repro.network import Message, MessageKind
+from repro.network import Message, MessageKind, StatusForward, StatusUpdate
 
 from helpers import MiniGrid
 
@@ -36,6 +36,15 @@ KIND_TO_CATEGORY = {
 }
 
 
+def message_of(kind):
+    """A message of ``kind`` as the program builds it."""
+    if kind == MessageKind.STATUS_UPDATE:
+        return StatusUpdate(0, 0, 0, 0)
+    if kind == MessageKind.STATUS_FORWARD:
+        return StatusForward(0, {})
+    return Message(kind)
+
+
 @pytest.fixture(scope="module")
 def scheduler():
     return MiniGrid(n_clusters=1, resources_per_cluster=2).schedulers[0]
@@ -43,7 +52,7 @@ def scheduler():
 
 @pytest.mark.parametrize("kind,category", sorted(KIND_TO_CATEGORY.items()))
 def test_kind_cost_and_category(scheduler, kind, category):
-    msg = Message(kind)
+    msg = message_of(kind)
     assert scheduler.service_time(msg) > 0.0
     assert scheduler.cost_category(msg) == category
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network import Message, MessageKind, Network, Router
+from repro.network import Message, MessageKind, Network, Router, StatusUpdate
 from repro.network.transport import RELIABLE_KINDS, _effective_kind
 from repro.sim import Entity, RngHub, Simulator
 from repro.topology import Topology
@@ -58,7 +58,7 @@ class TestReliability:
         sim, net = lossy_net(loss=0.9)
         dst = Inbox(sim, "dst", 1)
         for _ in range(100):
-            net.send(Message(MessageKind.STATUS_UPDATE), 0, dst)
+            net.send(StatusUpdate(0, 0, 0, 0), 0, dst)
         sim.run()
         assert net.messages_dropped > 60
 
