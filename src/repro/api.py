@@ -10,7 +10,7 @@ execution path, so results are identical by construction::
     result = run_study(StudySpec(kind="compare", profile="ci", jobs=4))
     print(result.report)
 
-:func:`run_study` executes locally (building a kind-appropriate engine
+:func:`run_study` executes locally (building an engine
 and content-addressed cache unless one is passed in);
 :func:`submit_study` ships the same spec to a ``repro serve``
 coordinator over the fabric protocol and returns the same
@@ -21,7 +21,7 @@ manifest — to the same spec run locally with ``--jobs N``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Tuple
 
@@ -60,7 +60,7 @@ class StudyResult:
 
     ``report`` is the rendered human-readable deliverable (what the CLI
     prints).  ``data`` is the kind's in-memory result object (a
-    ``FigureData``, comparison rows, or a ``*StudyResult`` dataclass)
+    ``FigureData``, comparison rows, or a ``PlanStudyResult``)
     for programmatic use — ``None`` when the study ran remotely.
     ``manifest_path`` points at the study manifest when one was written.
     """
@@ -86,25 +86,15 @@ def cache_root_for_spec(spec: StudySpec) -> str:
 
 
 def cache_for_spec(spec: StudySpec):
-    """The kind-appropriate content-addressed cache for a spec.
+    """The content-addressed run cache a spec resolves to.
 
-    ``series`` and ``trace`` studies need payload-aware caches (entries
-    cached by earlier plain sweeps share keys but lack the stream/trace
-    payload, so they must read as misses and be upgraded in place).
+    One cache serves every kind: :meth:`RunCache.get` itself refuses an
+    entry that lacks the series or trace payload a config's plan asks
+    for (see :mod:`repro.experiments.parallel.cache`).
     """
     from .experiments.parallel import RunCache
 
-    root = cache_root_for_spec(spec)
-    read = not spec.no_cache
-    if spec.kind == "series":
-        from .experiments.seriesstudy import SeriesAwareCache
-
-        return SeriesAwareCache(root=root, read=read)
-    if spec.kind == "trace":
-        from .experiments.tracestudy import TraceAwareCache
-
-        return TraceAwareCache(root=root, read=read)
-    return RunCache(root=root, read=read)
+    return RunCache(root=cache_root_for_spec(spec), read=not spec.no_cache)
 
 
 def engine_for_spec(spec: StudySpec, cache=None):
@@ -216,103 +206,37 @@ def _run_compare(spec: StudySpec, engine, fluid, study_cls) -> StudyResult:
     return StudyResult("compare", spec, report, data=rows)
 
 
-def _run_faults(spec: StudySpec, engine, fluid, study_cls) -> StudyResult:
-    from .experiments.faultstudy import fault_report, run_fault_study
-
-    manifest_path = _manifest_dir(spec) / "faults.json"
-    result = run_fault_study(
-        profile=spec.profile,
-        rms=spec.rms_list,
-        seed=spec.seed,
-        plan=spec.faults,
-        mttf=spec.mttf,
-        mttr=spec.mttr,
-        engine=engine,
-        manifest_path=manifest_path,
-        fluid=fluid,
-    )
-    precision = _PRECISION["faults"] if spec.precision is None else spec.precision
-    report = fault_report(result, precision=precision)
-    return StudyResult("faults", spec, report, data=result,
-                       manifest_path=manifest_path)
-
-
-def _run_series(spec: StudySpec, engine, fluid, study_cls) -> StudyResult:
+def _run_plan_study(spec: StudySpec, engine, fluid, study_cls) -> StudyResult:
+    """``faults``, ``series`` and ``trace``: one Case-1 plan study."""
     from .experiments.config import PROFILES
-    from .experiments.seriesstudy import (
-        run_series_study,
-        series_report,
-        sweep_report,
-    )
-    from .telemetry.timeseries import resolve_monitor_plan
+    from .experiments.planstudy import PLAN_KINDS, run_plan_study, study_report
 
-    profile = PROFILES[spec.profile]
-    intervals = spec.probe_intervals
-    # spec > REPRO_SERIES_* env > derived default, per knob
-    plan = resolve_monitor_plan(
-        series=True,
-        window=spec.window,
-        probe_interval=intervals[0] if intervals else None,
-        charge_rate=spec.charge_rate,
-    )
-    if plan.probe_interval == 0.0:
-        plan = _dc_replace(plan, probe_interval=profile.horizon / 200.0)
-    manifest_path = _manifest_dir(spec) / "series.json"
-    result = run_series_study(
+    kind = PLAN_KINDS[spec.kind]
+    manifest_path = _manifest_dir(spec) / f"{spec.kind}.json"
+    result = run_plan_study(
+        spec.kind,
+        kind.resolve(spec, PROFILES[spec.profile]),
         profile=spec.profile,
         rms=spec.rms_list,
         seed=spec.seed,
-        plan=plan,
-        sweep_intervals=list(intervals[1:]),
+        sweep_intervals=spec.probe_intervals[1:],
         engine=engine,
         manifest_path=manifest_path,
         fluid=fluid,
+        faults=spec.faults if kind.takes_fault_plan else None,
     )
-    precision = _PRECISION["series"] if spec.precision is None else spec.precision
-    report = series_report(result, precision=precision)
-    sweep_text = sweep_report(result, precision=precision)
-    if sweep_text:
-        report = f"{report}\n{sweep_text}"
-    return StudyResult("series", spec, report, data=result,
-                       manifest_path=manifest_path)
-
-
-def _run_trace(spec: StudySpec, engine, fluid, study_cls) -> StudyResult:
-    from .experiments.tracestudy import (
-        default_trace_plan,
-        run_trace_study,
-        trace_report,
-    )
-
-    # spec > REPRO_TRACE_* env > the study's trace-everything default
-    plan = default_trace_plan(
-        sample=spec.trace_sample,
-        charge_rate=spec.trace_charge,
-        max_events=spec.max_events,
-    )
-    manifest_path = _manifest_dir(spec) / "trace.json"
-    result = run_trace_study(
-        profile=spec.profile,
-        rms=spec.rms_list,
-        seed=spec.seed,
-        plan=plan,
-        engine=engine,
-        manifest_path=manifest_path,
-        fluid=fluid,
-        faults=spec.faults,
-    )
-    precision = _PRECISION["trace"] if spec.precision is None else spec.precision
-    report = trace_report(result, precision=precision)
-    return StudyResult("trace", spec, report, data=result,
+    precision = _PRECISION[spec.kind] if spec.precision is None else spec.precision
+    report = study_report(result, precision=precision)
+    return StudyResult(spec.kind, spec, report, data=result,
                        manifest_path=manifest_path)
 
 
 _RUNNERS = {
     "figure": _run_figure,
     "compare": _run_compare,
-    "faults": _run_faults,
-    "series": _run_series,
-    "trace": _run_trace,
+    "faults": _run_plan_study,
+    "series": _run_plan_study,
+    "trace": _run_plan_study,
 }
 
 
@@ -325,7 +249,7 @@ def run_study(spec: StudySpec, engine=None, study_cls=None) -> StudyResult:
 
     ``engine`` lets callers supply a preconfigured
     :class:`ExperimentEngine` (the CLI does, so its flags and stubs keep
-    working); by default a kind-appropriate engine + cache is built from
+    working); by default an engine and run cache are built from
     the spec and closed afterwards.  ``study_cls`` overrides the
     ``figure`` kind's ``Study`` class (test seam).
     """

@@ -15,13 +15,7 @@ from .reproduce import (
     figure6,
     figure7,
 )
-from .faultstudy import (
-    FaultStudyPoint,
-    FaultStudyResult,
-    default_churn_plan,
-    fault_report,
-    run_fault_study,
-)
+from .faultstudy import default_churn_plan, fault_report
 from .inspect import inspection_report
 from .parallel import ExperimentEngine, RunCache, StudyManifest, config_key
 from .summary import CaseSummary, study_report, summarize_case
@@ -44,8 +38,6 @@ __all__ = [
     "ScaleProfile",
     "SimulationConfig",
     "CaseSummary",
-    "FaultStudyPoint",
-    "FaultStudyResult",
     "Study",
     "System",
     "ascii_plot",
@@ -65,7 +57,6 @@ __all__ = [
     "make_batch_simulate",
     "make_simulate",
     "replicate",
-    "run_fault_study",
     "run_simulation",
     "study_report",
     "summarize",

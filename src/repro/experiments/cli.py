@@ -258,21 +258,46 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    plan = None
-    if args.fault_plan:
-        plan = _load_fault_plan(args.fault_plan)
-        if plan is None:
+def _cmd_plan_study(args: argparse.Namespace) -> int:
+    """``repro faults``, ``repro series`` and ``repro trace``."""
+    from .planstudy import PLAN_KINDS
+
+    kind = PLAN_KINDS[args.command]
+    faults = None
+    if getattr(args, "fault_plan", None):
+        faults = _load_fault_plan(args.fault_plan)
+        if faults is None:
             return 2
-    spec = spec_from_args("faults", args, faults=plan)
+    try:
+        spec = spec_from_args(args.command, args, faults=faults)
+    except ValueError:
+        # the only free-text number list a plan study parses
+        print(
+            f"error: --probe-interval must be comma-separated numbers, "
+            f"got {args.probe_interval!r}",
+            file=sys.stderr,
+        )
+        return 2
+    # resolve the plan up front so a bad knob is a one-line error
+    try:
+        kind.resolve(spec, PROFILES[spec.profile])
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     with _telemetry_scope(args), _flight_scope(args), _make_engine(spec) as engine:
         result = api.run_study(spec, engine=engine)
     print(result.report)
-    print(
-        f"\nmanifest written to {result.manifest_path} "
-        f"(decompose with `repro attrib {result.manifest_path}`)"
-    )
-    if args.events_out:
+    path = result.manifest_path
+    watch = f", tail with `repro watch {path}`" if kind.watchable else ""
+    print(f"\nmanifest written to {path} (decompose with `repro attrib {path}`{watch})")
+    for flag, (writer, noun) in kind.exports.items():
+        out = getattr(args, flag)
+        if out:
+            newline = "" if flag == "csv" else None
+            with open(out, "w", encoding="utf-8", newline=newline) as fh:
+                n = writer(result.data, fh)
+            print(f"{n} {noun} written to {out}")
+    if getattr(args, "events_out", None):
         _dump_fault_events(result.data, args.events_out)
     return 0
 
@@ -280,102 +305,17 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _dump_fault_events(result, path: str) -> None:
     """Re-run the study's smallest config in-process and dump the
     injector's fault-event timeline as JSONL (one event per line)."""
-    from .cases import get_case
     from .runner import build_system
 
-    name = next(iter(result.series))
-    profile = PROFILES[result.profile]
-    config = get_case(1).config_for(
-        name, profile.scales[0], profile, seed=result.seed, faults=result.plan
-    )
+    name, points = next(iter(result.points.items()))
+    config = points[0].config
     system = build_system(config)
     system.sim.run(until=config.horizon + config.drain)
     events = [] if system.injector is None else system.injector.events
     with open(path, "w", encoding="utf-8") as fh:
         for event in events:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
-    print(f"{len(events)} fault events ({name}, k={profile.scales[0]:g}) written to {path}")
-
-
-def _cmd_series(args: argparse.Namespace) -> int:
-    from .seriesstudy import export_csv, export_jsonl, export_prometheus
-
-    try:
-        spec = spec_from_args("series", args)
-    except ValueError:
-        print(
-            f"error: --probe-interval must be comma-separated numbers, "
-            f"got {args.probe_interval!r}",
-            file=sys.stderr,
-        )
-        return 2
-    with _telemetry_scope(args), _flight_scope(args), _make_engine(spec) as engine:
-        result = api.run_study(spec, engine=engine)
-    print(result.report)
-    print(
-        f"\nmanifest written to {result.manifest_path} "
-        f"(decompose with `repro attrib {result.manifest_path}`, "
-        f"tail with `repro watch {result.manifest_path}`)"
-    )
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            n = export_csv(result.data, fh)
-        print(f"{n} window rows written to {args.csv}")
-    if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            n = export_jsonl(result.data, fh)
-        print(f"{n} run series written to {args.jsonl}")
-    if args.prom:
-        with open(args.prom, "w", encoding="utf-8") as fh:
-            n = export_prometheus(result.data, fh)
-        print(f"{n} Prometheus samples written to {args.prom}")
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .tracestudy import (
-        default_trace_plan,
-        export_csv,
-        export_jsonl,
-        export_prometheus,
-    )
-
-    faults = None
-    if args.fault_plan:
-        faults = _load_fault_plan(args.fault_plan)
-        if faults is None:
-            return 2
-    # pre-validate the trace knobs so a bad flag is a one-line error
-    try:
-        default_trace_plan(
-            sample=args.trace_sample,
-            charge_rate=args.trace_charge,
-            max_events=args.max_events,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    spec = spec_from_args("trace", args, faults=faults)
-    with _telemetry_scope(args), _flight_scope(args), _make_engine(spec) as engine:
-        result = api.run_study(spec, engine=engine)
-    print(result.report)
-    print(
-        f"\nmanifest written to {result.manifest_path} "
-        f"(decompose with `repro attrib {result.manifest_path}`)"
-    )
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            n = export_csv(result.data, fh)
-        print(f"{n} phase rows written to {args.csv}")
-    if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            n = export_jsonl(result.data, fh)
-        print(f"{n} run traces written to {args.jsonl}")
-    if args.prom:
-        with open(args.prom, "w", encoding="utf-8") as fh:
-            n = export_prometheus(result.data, fh)
-        print(f"{n} Prometheus samples written to {args.prom}")
-    return 0
+    print(f"{len(events)} fault events ({name}, k={points[0].scale:g}) written to {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also dump the smallest config's fault-event timeline as JSONL",
     )
     faults.add_argument("--precision", type=int, default=1)
-    faults.set_defaults(fn=_cmd_faults)
+    faults.set_defaults(fn=_cmd_plan_study)
 
     ser = sub.add_parser(
         "series",
@@ -829,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write Prometheus text exposition of final/steady quantities",
     )
-    ser.set_defaults(fn=_cmd_series)
+    ser.set_defaults(fn=_cmd_plan_study)
 
     trc = sub.add_parser(
         "trace",
@@ -880,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write Prometheus text exposition of phase/latency/overhead samples",
     )
-    trc.set_defaults(fn=_cmd_trace)
+    trc.set_defaults(fn=_cmd_plan_study)
 
     srv = sub.add_parser(
         "serve",

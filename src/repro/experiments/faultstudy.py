@@ -1,49 +1,33 @@
-"""Churn study: how recovery overhead scales — ``repro faults``.
+"""Churn study renderers: how recovery overhead scales — ``repro faults``.
 
 The paper's scalability verdict is the slope of ``G(k)`` under a
-*fault-free* substrate.  This driver re-asks the question under
+*fault-free* substrate.  The churn study re-asks the question under
 resource churn: every design runs the Case-1 scaling path with a
 :class:`~repro.faults.plan.FaultPlan` injecting exponential
-crash/recover cycles, and the new ``g.faults`` attribution component
+crash/recover cycles, and the ``g.faults`` attribution component
 (heartbeat sweeps, dead-resource processing, job re-dispatch) shows how
 much of the growth is recovery work rather than steady-state
 management.
 
-All (RMS, scale) runs are independent, so the whole study is one
-engine batch — results are byte-identical whatever ``--jobs`` is, and
-every run lands in the content-addressed cache (the plan is hashed
-into the cache key like any other config field).
-
-The study checkpoints into ``<cache>/manifests/faults.json`` using the
-same manifest shape the figure sweeps use, so ``repro attrib`` can
-render the per-component decomposition from it directly.
+The study itself runs through the shared plan-study pipeline
+(:func:`~repro.experiments.planstudy.run_plan_study`, kind
+``"faults"``), which checkpoints into ``<cache>/manifests/faults.json``
+in the manifest shape ``repro attrib`` reads.  This module holds the
+kind's default plan and its report.
 """
 
 from __future__ import annotations
 
-import hashlib
-import math
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from ..core.slope import slopes
-from ..faults.plan import FaultPlan, plan_to_jsonable
-from ..rms.registry import rms_names
-from .cases import get_case
-from .config import PROFILES, ScaleProfile
-from .parallel.hashing import canonical_json
-from .parallel.manifest import StudyManifest
+from ..faults.plan import FaultPlan
+from .config import ScaleProfile
 from .tabulate import format_table
-from .runner import RunMetrics, run_simulation
 
 __all__ = [
-    "FaultStudyPoint",
-    "FaultStudyResult",
     "default_churn_plan",
     "fault_report",
-    "plan_key",
-    "run_fault_study",
 ]
 
 
@@ -64,134 +48,7 @@ def default_churn_plan(
     return FaultPlan(resource_mttf=float(mttf), resource_mttr=mttr)
 
 
-def plan_key(plan: FaultPlan) -> str:
-    """A short stable digest of a plan (manifest key component)."""
-    digest = hashlib.sha256(canonical_json(plan_to_jsonable(plan))).hexdigest()
-    return digest[:12]
-
-
-@dataclass(frozen=True)
-class FaultStudyPoint:
-    """One (RMS, scale) run under the study's fault plan."""
-
-    rms: str
-    scale: float
-    metrics: RunMetrics
-
-    @property
-    def faults_g(self) -> float:
-        """The run's total ``g.faults`` recovery overhead."""
-        attribution = self.metrics.attribution or {}
-        return math.fsum(
-            v for k, v in attribution.items() if k.startswith("g.faults")
-        )
-
-
-@dataclass(frozen=True)
-class FaultStudyResult:
-    """Everything ``repro faults`` measured."""
-
-    profile: str
-    seed: int
-    plan: FaultPlan
-    #: RMS name -> points in ascending scale order
-    series: Dict[str, List[FaultStudyPoint]] = field(default_factory=dict)
-    manifest_path: Optional[Path] = None
-
-
-def run_fault_study(
-    profile: str = "ci",
-    rms: Optional[Sequence[str]] = None,
-    seed: int = 7,
-    plan: Optional[FaultPlan] = None,
-    mttf: Optional[float] = None,
-    mttr: Optional[float] = None,
-    engine=None,
-    manifest_path: "str | Path | None" = None,
-    fluid=None,
-) -> FaultStudyResult:
-    """Run the churn study: Case-1 scaling under a fault plan.
-
-    Parameters
-    ----------
-    plan:
-        Explicit :class:`FaultPlan`; when ``None``, a default churn
-        plan is derived from the profile (``mttf`` / ``mttr`` override
-        its timing).
-    engine:
-        Optional :class:`~repro.experiments.parallel.ExperimentEngine`;
-        all runs go through it as **one** batch, so worker count cannot
-        affect results.
-    manifest_path:
-        When given, each design's points are checkpointed there in the
-        study-manifest shape ``repro attrib`` reads.
-    """
-    prof = PROFILES[profile] if isinstance(profile, str) else profile
-    names = list(rms) if rms else rms_names()
-    if plan is None:
-        plan = default_churn_plan(prof, mttf=mttf, mttr=mttr)
-    case = get_case(1)
-
-    configs = [
-        case.config_for(name, k, prof, seed=seed, faults=plan, fluid=fluid)
-        for name in names
-        for k in prof.scales
-    ]
-    if engine is not None:
-        metrics_list = engine.run_many(configs)
-    else:
-        metrics_list = [run_simulation(c) for c in configs]
-
-    series: Dict[str, List[FaultStudyPoint]] = {}
-    it = iter(metrics_list)
-    for name in names:
-        series[name] = [
-            FaultStudyPoint(rms=name, scale=float(k), metrics=next(it))
-            for k in prof.scales
-        ]
-
-    result = FaultStudyResult(
-        profile=prof.name,
-        seed=seed,
-        plan=plan,
-        series=series,
-        manifest_path=Path(manifest_path) if manifest_path else None,
-    )
-    if result.manifest_path is not None:
-        _write_manifest(result)
-    return result
-
-
-def _write_manifest(result: FaultStudyResult) -> None:
-    """Checkpoint the study in the manifest shape ``repro attrib`` reads."""
-    manifest = StudyManifest(result.manifest_path)
-    digest = plan_key(result.plan)
-    for name, points in result.series.items():
-        key = (
-            f"{result.profile}:seed{result.seed}:faults{digest}:case1:{name}"
-        )
-        payload = {
-            "plan": plan_to_jsonable(result.plan),
-            "result": {
-                "points": [
-                    {
-                        "scale": p.scale,
-                        "record": {
-                            "F": p.metrics.record.F,
-                            "G": p.metrics.record.G,
-                            "H": p.metrics.record.H,
-                        },
-                        "attribution": p.metrics.attribution or {},
-                        "fault_stats": p.metrics.fault_stats or {},
-                    }
-                    for p in points
-                ]
-            },
-        }
-        manifest.mark_done(key, payload)
-
-
-def fault_report(result: FaultStudyResult, precision: int = 1) -> str:
+def fault_report(result, precision: int = 1) -> str:
     """Render the churn study: per-design tables plus a slope ranking."""
     plan = result.plan
     parts: List[str] = []
@@ -204,11 +61,11 @@ def fault_report(result: FaultStudyResult, precision: int = 1) -> str:
         )
     else:
         parts.append(
-            f"fault plan {plan_key(plan)} "
+            f"fault plan {result.digest} "
             f"(profile {result.profile}, seed {result.seed})"
         )
 
-    for name, points in result.series.items():
+    for name, points in result.points.items():
         rows = []
         for p in points:
             m = p.metrics
@@ -220,7 +77,7 @@ def fault_report(result: FaultStudyResult, precision: int = 1) -> str:
                     m.record.G,
                     m.record.H,
                     m.efficiency,
-                    p.faults_g,
+                    p.g("faults"),
                     stats.get("crashes", 0),
                     stats.get("jobs_killed", 0),
                     stats.get("redispatches", 0),
@@ -248,13 +105,13 @@ def fault_report(result: FaultStudyResult, precision: int = 1) -> str:
         )
 
     ranking = []
-    for name, points in result.series.items():
+    for name, points in result.points.items():
         if len(points) < 2:
             continue
         ks = [p.scale for p in points]
         try:
             g_slope = slopes(ks, [p.metrics.record.G for p in points])
-            f_slope = slopes(ks, [p.faults_g for p in points])
+            f_slope = slopes(ks, [p.g("faults") for p in points])
         except ValueError:
             continue
         ranking.append(

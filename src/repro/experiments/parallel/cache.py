@@ -15,7 +15,15 @@ Robustness rules:
   cannot leave a half-written entry that later poisons a read;
 * ``read=False`` supports ``--no-cache``: reads are bypassed but fresh
   results are still written, so a forced recompute repopulates the
-  cache instead of orphaning it.
+  cache instead of orphaning it;
+* an entry is served only with the payloads the config's plans ask
+  for.  Passive monitor and trace plans share a key with plain runs
+  (see :mod:`.hashing`), so an entry may lack the series or trace
+  payload, or carry one recorded under another passive plan.  Such an
+  entry reads as a miss; the recomputed run (byte-identical apart from
+  the payload) rewrites it.  An entry records its passive plans under
+  ``"plans"``, and only when it has some, so plain entries keep their
+  bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +39,12 @@ from ...envknobs import get_str
 from ...telemetry.spans import current as _telemetry
 from ..config import SimulationConfig
 from ..runner import RunMetrics
-from .hashing import CACHE_SCHEMA_VERSION, canonical_json, config_key
+from .hashing import (
+    CACHE_SCHEMA_VERSION,
+    canonical_json,
+    config_key,
+    passive_plans,
+)
 
 import json
 
@@ -117,6 +130,20 @@ def metrics_from_jsonable(payload: Dict[str, Any]) -> RunMetrics:
     )
 
 
+def _serves(
+    config: SimulationConfig, metrics: RunMetrics, recorded: Optional[Dict[str, Any]]
+) -> bool:
+    """Whether an entry carries the payloads ``config``'s plans ask for."""
+    if config.monitor.is_enabled and metrics.series is None:
+        return False
+    if config.trace.is_enabled and metrics.trace is None:
+        return False
+    plans = passive_plans(config)
+    return plans is None or all(
+        (recorded or {}).get(name) == plan for name, plan in plans.items()
+    )
+
+
 def metrics_json_bytes(metrics: RunMetrics) -> bytes:
     """Canonical JSON encoding of a run's metrics.
 
@@ -180,7 +207,8 @@ class RunCache:
         """The cached result for ``config``, or ``None`` on any miss.
 
         Corrupted, truncated, or wrong-version entries count as misses
-        (and are tallied in :attr:`errors`).
+        (and are tallied in :attr:`errors`), and so does an entry that
+        lacks a payload the config's plans ask for.
         """
         if not self.read:
             self.misses += 1
@@ -207,6 +235,9 @@ class RunCache:
             tel.metrics.counter("cache.repairs").increment()
             tel.event("cache.corrupt", key=key, error=f"{type(exc).__name__}: {exc}")
             return None
+        if not _serves(config, metrics, payload.get("plans")):
+            self.misses += 1
+            return None
         self.hits += 1
         return metrics
 
@@ -222,6 +253,9 @@ class RunCache:
             "version": CACHE_SCHEMA_VERSION,
             "metrics": metrics_to_jsonable(metrics),
         }
+        plans = passive_plans(config)
+        if plans is not None:
+            payload["plans"] = plans
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:

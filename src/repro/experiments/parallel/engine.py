@@ -5,7 +5,9 @@ tuner's candidate batches, replication fans, benchmark sweeps, and the
 CLI all execute simulations.  For every batch it
 
 1. deduplicates identical configs (the tuner frequently revisits
-   points),
+   points) — by cache key, plus any passive monitor or trace plan,
+   since runs under different passive plans share a key but record
+   different payloads,
 2. serves what it can from the :class:`~.cache.RunCache` (if attached),
 3. fans the remaining *unique* configs out over a
    ``ProcessPoolExecutor`` — or runs them inline when ``jobs == 1`` —
@@ -24,6 +26,7 @@ means "one per CPU".
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +37,7 @@ from ...telemetry.spans import current as _telemetry
 from ..config import SimulationConfig
 from ..runner import RunMetrics, run_simulation
 from .cache import RunCache
-from .hashing import config_key
+from .hashing import canonical_json, config_key, passive_plans
 
 __all__ = ["ExperimentEngine", "resolve_jobs"]
 
@@ -49,6 +52,15 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return max(1, jobs)
+
+
+def _identity(key: str, config: SimulationConfig) -> str:
+    """A run's identity inside a batch: its cache key, plus its passive
+    plans when it has any (plain runs compute nothing extra)."""
+    plans = passive_plans(config)
+    if plans is None:
+        return key
+    return f"{key}+{hashlib.sha256(canonical_json(plans)).hexdigest()[:16]}"
 
 
 def _run_config(config: SimulationConfig) -> RunMetrics:
@@ -115,46 +127,46 @@ class ExperimentEngine:
         tel = _telemetry()
         configs = list(configs)
         keys = [config_key(c) for c in configs]
+        idents = [_identity(key, c) for key, c in zip(keys, configs)]
         results: Dict[str, RunMetrics] = {}
 
         with tel.span(
-            "engine.batch", size=len(configs), unique=len(set(keys)), jobs=self.jobs
+            "engine.batch", size=len(configs), unique=len(set(idents)), jobs=self.jobs
         ) as span:
             repairs_before = self.cache.repairs if self.cache is not None else 0
 
             # 1) cache reads
             if self.cache is not None:
-                for key, config in zip(keys, configs):
-                    if key not in results:
+                for ident, key, config in zip(idents, keys, configs):
+                    if ident not in results:
                         hit = self.cache.get(config, key=key)
                         if hit is not None:
-                            results[key] = hit
+                            results[ident] = hit
             cache_hits = len(results)
 
             # 2) unique misses, in first-appearance order (determinism of
-            #    execution order for the serial path); set-backed
+            #    execution order for the serial path); dict-backed
             #    membership keeps large batches out of O(n^2)
-            miss_keys: List[str] = []
-            miss_configs: List[SimulationConfig] = []
-            missed = set()
-            for key, config in zip(keys, configs):
-                if key not in results and key not in missed:
-                    missed.add(key)
-                    miss_keys.append(key)
-                    miss_configs.append(config)
+            miss: Dict[str, Tuple[str, SimulationConfig]] = {}
+            for ident, key, config in zip(idents, keys, configs):
+                if ident not in results and ident not in miss:
+                    miss[ident] = (key, config)
+            miss_configs = [config for _, config in miss.values()]
 
             # 3) execute — through the overridable seam, so alternative
             #    execution vehicles (the distributed fabric) plug in here
-            #    while cache policy and result ordering stay identical
+            #    while cache policy and result ordering stay identical;
+            #    the seam sees batch identities, which are unique even
+            #    where two passive plans share a cache key
             busy = 0.0
             wall = 0.0
             if miss_configs:
                 t_exec = time.monotonic()
-                computed, busy = self._execute_batch(miss_keys, miss_configs, tel)
+                computed, busy = self._execute_batch(list(miss), miss_configs, tel)
                 wall = time.monotonic() - t_exec
                 self.runs_executed += len(miss_configs)
-                for key, config, metrics in zip(miss_keys, miss_configs, computed):
-                    results[key] = metrics
+                for (ident, (key, config)), metrics in zip(miss.items(), computed):
+                    results[ident] = metrics
                     # 4) cache writes
                     if self.cache is not None:
                         self.cache.put(config, metrics, key=key)
@@ -180,7 +192,7 @@ class ExperimentEngine:
                 if miss_configs:
                     scope.tally("batch_seconds").record(wall)
 
-        return [results[key] for key in keys]
+        return [results[ident] for ident in idents]
 
     # ------------------------------------------------------------------
     def _execute_batch(
@@ -193,8 +205,11 @@ class ExperimentEngine:
         dispatches to socket workers) without touching dedup, cache
         policy, or result ordering — which is exactly what makes a
         fabric study byte-identical to a local ``--jobs N`` run.
-        ``metrics`` must align with ``miss_keys``; ``busy_seconds`` is
-        the summed worker-side wall-clock (0.0 when unknown).
+        ``miss_keys`` are the misses' batch identities: the cache key, with
+        a suffix for a run under a passive plan, so they are unique even
+        where two misses share a cache key.  ``metrics`` must align with
+        ``miss_keys``; ``busy_seconds`` is the summed worker-side
+        wall-clock (0.0 when unknown).
         """
         busy = 0.0
         if self.jobs == 1 or len(miss_configs) == 1:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from ..config import SimulationConfig
 
@@ -35,6 +35,7 @@ __all__ = [
     "canonical_config",
     "config_key",
     "canonical_json",
+    "passive_plans",
 ]
 
 #: bump when the cache record format or config semantics change
@@ -120,6 +121,26 @@ def canonical_config(config: SimulationConfig) -> Dict[str, Any]:
     if not config.trace.is_active:
         plain.pop("trace", None)
     return plain
+
+
+def passive_plans(config: SimulationConfig) -> Optional[Dict[str, Any]]:
+    """The enabled plans :func:`canonical_config` drops from the key.
+
+    A passive monitor or trace plan records a payload without changing
+    anything else the run computes, so runs under different passive
+    plans share one cache key.  Their payloads still differ (a 25-unit
+    probe interval sweeps twice as often as a 50-unit one), so the run
+    cache records these plans beside an entry's payloads and serves the
+    entry only to a config with the same ones, and the engine keeps such
+    runs apart inside a batch.  ``None`` when the config has none (every
+    plain run), so the check costs nothing there.
+    """
+    plans = {}
+    if config.monitor.is_enabled and not config.monitor.is_active:
+        plans["monitor"] = _plain(config.monitor)
+    if config.trace.is_enabled and not config.trace.is_active:
+        plans["trace"] = _plain(config.trace)
+    return plans or None
 
 
 def canonical_json(payload: Any) -> bytes:

@@ -1,9 +1,13 @@
-"""Time-resolved observability study: ``repro series``.
+"""Time-resolved observability study renderers: ``repro series``.
 
-Runs the Case-1 scaling path with a :class:`MonitorPlan` attached to
-every config, so each (RMS, scale) run carries a windowed F/G/H stream
-and (optionally) in-sim probe gauges.  On top of the per-run payloads
-this driver renders:
+The study runs the Case-1 scaling path with a :class:`MonitorPlan`
+attached to every config, so each (RMS, scale) run carries a windowed
+F/G/H stream and (optionally) in-sim probe gauges.  It runs through the
+shared plan-study pipeline
+(:func:`~repro.experiments.planstudy.run_plan_study`, kind
+``"series"``), which checkpoints into ``<cache>/manifests/series.json``
+with the series payload inside each point.  On top of the per-run
+payloads this module renders:
 
 * per-scale **E(t)/G(t) tables** — the windowed trajectory, thinned to
   a terminal-friendly row count (the exports carry every window);
@@ -14,59 +18,32 @@ this driver renders:
   frequency while F stays bit-for-bit conserved (ledger charges never
   feed back into behaviour, so the efficiency *measurement* degrades
   gracefully while the *workload outcome* is invariant);
-* **exports** — per-window CSV, per-run JSONL, and a Prometheus text
-  exposition of the study's summary gauges.
-
-All runs go through the engine as one batch (results independent of
-``--jobs``), and the study checkpoints into
-``<cache>/manifests/series.json`` in the same manifest shape ``repro
-attrib`` reads — the series payload rides inside each point.
-
-Cache interaction: a passive plan shares cache keys with unmonitored
-runs *by design* (see ``parallel.hashing``), which means a prior
-figure sweep may have cached the same key **without** a series payload.
-:class:`SeriesAwareCache` treats such an entry as a miss so the run is
-recomputed (byte-identical, now carrying its stream) and the entry
-upgraded in place.
+* **exports** — per-window CSV and a Prometheus text exposition of the
+  study's summary gauges (the per-run JSONL is the pipeline's shared
+  :func:`~repro.experiments.planstudy.export_jsonl`).
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
-import math
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, TextIO
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, TextIO
 
-from ..rms.registry import rms_names
 from ..telemetry.promexport import attribution_labels, write_metric
 from ..telemetry.timeseries import (
     MonitorPlan,
     efficiency_curve,
     merge_series,
-    monitor_plan_to_jsonable,
+    resolve_monitor_plan,
     steady_state,
 )
-from .cases import get_case
-from .config import PROFILES, ScaleProfile, SimulationConfig
-from .parallel.cache import RunCache
-from .parallel.hashing import canonical_json
-from .parallel.manifest import StudyManifest
-from .runner import RunMetrics, run_simulation
+from .config import ScaleProfile
 from .tabulate import format_table
 
 __all__ = [
-    "SeriesAwareCache",
-    "SeriesStudyPoint",
-    "SeriesStudyResult",
     "default_monitor_plan",
     "export_csv",
-    "export_jsonl",
     "export_prometheus",
-    "monitor_plan_key",
-    "run_series_study",
     "series_report",
     "sweep_report",
 ]
@@ -74,243 +51,28 @@ __all__ = [
 
 def default_monitor_plan(
     profile: ScaleProfile,
+    window: Optional[float] = None,
     probe_interval: Optional[float] = None,
     charge_rate: Optional[float] = None,
 ) -> MonitorPlan:
     """The standard study plan for one profile.
 
-    Windowed streams on with the derived width; probes default to the
+    Windowed streams on.  Each knob comes from its argument, then its
+    ``REPRO_SERIES_*`` environment variable, then the derived default
+    (see :func:`resolve_monitor_plan`).  Probes default to the
     status-update period's order of magnitude (``horizon / 200``) so a
     run collects a few hundred sweeps — dense enough for the gauges to
     mean something, sparse enough to stay cheap.
     """
-    if probe_interval is None:
-        probe_interval = profile.horizon / 200.0
-    return MonitorPlan(
+    plan = resolve_monitor_plan(
         series=True,
-        probe_interval=float(probe_interval),
-        charge_rate=float(charge_rate) if charge_rate is not None else 0.0,
+        window=window,
+        probe_interval=probe_interval,
+        charge_rate=charge_rate,
     )
-
-
-def monitor_plan_key(plan: MonitorPlan) -> str:
-    """A short stable digest of a plan (manifest key component)."""
-    digest = hashlib.sha256(
-        canonical_json(monitor_plan_to_jsonable(plan))
-    ).hexdigest()
-    return digest[:12]
-
-
-class SeriesAwareCache(RunCache):
-    """A run cache that refuses series-less hits for monitored configs.
-
-    Passive monitor plans hash to the same key as unmonitored runs, so
-    an entry cached by an earlier figure sweep may lack the series
-    payload this study needs.  Such an entry is still *valid* — just
-    incomplete for this consumer — so it reads as a miss here: the run
-    is recomputed (byte-identical by the passive-plan contract) and the
-    rewritten entry carries the stream for both consumers.
-    """
-
-    def get(
-        self, config: SimulationConfig, key: Optional[str] = None
-    ) -> Optional[RunMetrics]:
-        metrics = super().get(config, key)
-        if (
-            metrics is not None
-            and metrics.series is None
-            and config.monitor.is_enabled
-        ):
-            self.hits -= 1
-            self.misses += 1
-            return None
-        return metrics
-
-
-@dataclass(frozen=True)
-class SeriesStudyPoint:
-    """One (RMS, scale) run with its time-resolved stream."""
-
-    rms: str
-    scale: float
-    metrics: RunMetrics
-
-    @property
-    def series(self) -> Optional[Dict[str, Any]]:
-        return self.metrics.series
-
-    @property
-    def monitor_g(self) -> float:
-        """The run's total ``g.monitor`` probe overhead."""
-        attribution = self.metrics.attribution or {}
-        return math.fsum(
-            v for k, v in attribution.items() if k.startswith("g.monitor")
-        )
-
-    @property
-    def steady(self) -> Dict[str, float]:
-        """Warmup/steady-state analysis of the run's stream."""
-        if self.series is None:
-            return {}
-        return steady_state(self.series)
-
-
-@dataclass(frozen=True)
-class SeriesStudyResult:
-    """Everything ``repro series`` measured."""
-
-    profile: str
-    seed: int
-    plan: MonitorPlan
-    #: traffic plan the runs executed under (``None`` means discrete)
-    fluid: Optional[Any] = None
-    #: RMS name -> points in ascending scale order
-    series: Dict[str, List[SeriesStudyPoint]] = field(default_factory=dict)
-    #: probe-interval sweep points (interval -> per-RMS points), present
-    #: only when several intervals were requested
-    sweep: Dict[float, Dict[str, SeriesStudyPoint]] = field(default_factory=dict)
-    manifest_path: Optional[Path] = None
-
-
-def run_series_study(
-    profile: str = "ci",
-    rms: Optional[Sequence[str]] = None,
-    seed: int = 7,
-    plan: Optional[MonitorPlan] = None,
-    probe_interval: Optional[float] = None,
-    charge_rate: Optional[float] = None,
-    sweep_intervals: Optional[Sequence[float]] = None,
-    engine=None,
-    manifest_path: "str | Path | None" = None,
-    fluid=None,
-) -> SeriesStudyResult:
-    """Run the time-resolved study: Case-1 scaling under a monitor plan.
-
-    Parameters
-    ----------
-    plan:
-        Explicit :class:`MonitorPlan`; when ``None``, a default study
-        plan is derived from the profile (``probe_interval`` /
-        ``charge_rate`` override its knobs).
-    sweep_intervals:
-        Additional probe intervals for the overhead/accuracy sweep,
-        each run at the base scale for every design with the plan's
-        charge rate.
-    engine:
-        Optional :class:`~repro.experiments.parallel.ExperimentEngine`;
-        all runs (scaling path + sweep) go through it as **one** batch,
-        so worker count cannot affect results.
-    manifest_path:
-        When given, each design's points are checkpointed there in the
-        study-manifest shape ``repro attrib`` and ``repro watch`` read.
-    fluid:
-        Optional :class:`~repro.fluid.plan.FluidPlan` applied to every
-        run.  In fluid mode the probe sampler reads the status plane's
-        O(1) aggregate gauges instead of sweeping per-resource state,
-        so the study stays cheap at extreme scale.
-    """
-    prof = PROFILES[profile] if isinstance(profile, str) else profile
-    names = list(rms) if rms else rms_names()
-    if plan is None:
-        plan = default_monitor_plan(
-            prof, probe_interval=probe_interval, charge_rate=charge_rate
-        )
-    case = get_case(1)
-
-    configs = [
-        case.config_for(name, k, prof, seed=seed, monitor=plan, fluid=fluid)
-        for name in names
-        for k in prof.scales
-    ]
-    intervals = [
-        float(i) for i in (sweep_intervals or ()) if float(i) != plan.probe_interval
-    ]
-    base_k = prof.scales[0]
-    sweep_configs = [
-        case.config_for(
-            name,
-            base_k,
-            prof,
-            seed=seed,
-            monitor=MonitorPlan(
-                series=True,
-                window=plan.window,
-                max_windows=plan.max_windows,
-                probe_interval=interval,
-                charge_rate=plan.charge_rate,
-            ),
-            fluid=fluid,
-        )
-        for interval in intervals
-        for name in names
-    ]
-    if engine is not None:
-        metrics_list = engine.run_many(configs + sweep_configs)
-    else:
-        metrics_list = [run_simulation(c) for c in configs + sweep_configs]
-
-    it = iter(metrics_list)
-    series: Dict[str, List[SeriesStudyPoint]] = {}
-    for name in names:
-        series[name] = [
-            SeriesStudyPoint(rms=name, scale=float(k), metrics=next(it))
-            for k in prof.scales
-        ]
-    sweep: Dict[float, Dict[str, SeriesStudyPoint]] = {}
-    for interval in intervals:
-        sweep[interval] = {
-            name: SeriesStudyPoint(rms=name, scale=float(base_k), metrics=next(it))
-            for name in names
-        }
-    if intervals:
-        # The study's own points cover the plan's interval at base scale.
-        sweep[plan.probe_interval] = {
-            name: series[name][0] for name in names
-        }
-
-    result = SeriesStudyResult(
-        profile=prof.name,
-        seed=seed,
-        plan=plan,
-        fluid=fluid,
-        series=series,
-        sweep=dict(sorted(sweep.items())),
-        manifest_path=Path(manifest_path) if manifest_path else None,
-    )
-    if result.manifest_path is not None:
-        _write_manifest(result)
-    return result
-
-
-def _write_manifest(result: SeriesStudyResult) -> None:
-    """Checkpoint the study in the shape ``repro attrib``/``watch`` read."""
-    manifest = StudyManifest(result.manifest_path)
-    digest = monitor_plan_key(result.plan)
-    fluid = ""
-    if result.fluid is not None and getattr(result.fluid, "is_fluid", False):
-        fluid = f":fluid{result.fluid.mode}-fan{result.fluid.aggregator_fanout}"
-    for name, points in result.series.items():
-        key = f"{result.profile}:seed{result.seed}:series{digest}{fluid}:case1:{name}"
-        payload = {
-            "monitor": monitor_plan_to_jsonable(result.plan),
-            "result": {
-                "points": [
-                    {
-                        "scale": p.scale,
-                        "record": {
-                            "F": p.metrics.record.F,
-                            "G": p.metrics.record.G,
-                            "H": p.metrics.record.H,
-                        },
-                        "attribution": p.metrics.attribution or {},
-                        "series": p.series,
-                        "steady": p.steady,
-                    }
-                    for p in points
-                ]
-            },
-        }
-        manifest.mark_done(key, payload)
+    if plan.probe_interval == 0.0:
+        plan = replace(plan, probe_interval=profile.horizon / 200.0)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +90,12 @@ def _thin(indices: Sequence[int], limit: int) -> List[int]:
 
 
 def series_report(
-    result: SeriesStudyResult, precision: int = 3, curve_rows: int = 12
+    result, precision: int = 3, curve_rows: int = 12
 ) -> str:
     """Render the study: steady-state tables plus thinned E(t)/G(t) curves."""
     plan = result.plan
     parts: List[str] = [
-        f"monitor plan {monitor_plan_key(plan)}: "
+        f"monitor plan {result.digest}: "
         f"probe_interval={plan.probe_interval:g}, "
         f"charge_rate={plan.charge_rate:g} "
         f"(profile {result.profile}, seed {result.seed})"
@@ -341,7 +103,7 @@ def series_report(
 
     worst = 0.0
     rows = []
-    for name, points in result.series.items():
+    for name, points in result.points.items():
         for p in points:
             ss = p.steady
             if not ss:
@@ -357,7 +119,7 @@ def series_report(
                     ss["final_E"],
                     rel * 100.0,
                     ss["warmup_time"],
-                    p.monitor_g,
+                    p.g("monitor"),
                 ]
             )
     parts.append("\nsteady-state detection (MSER warmup truncation):")
@@ -373,7 +135,7 @@ def series_report(
         + (" (within 2%)" if worst <= 0.02 else " (EXCEEDS 2%)")
     )
 
-    for name, points in result.series.items():
+    for name, points in result.points.items():
         payloads = [p.series for p in points if p.series is not None]
         if not payloads:
             continue
@@ -411,7 +173,7 @@ def series_report(
     return "\n".join(parts)
 
 
-def sweep_report(result: SeriesStudyResult, precision: int = 3) -> str:
+def sweep_report(result, precision: int = 3) -> str:
     """Render the overhead/accuracy sweep (monotone G:monitor check).
 
     Charges never feed back into simulation behaviour, so F must be
@@ -431,12 +193,12 @@ def sweep_report(result: SeriesStudyResult, precision: int = 3) -> str:
             p = by_rms[name]
             sweeps = (p.series or {}).get("sweeps", 0)
             f_values.append(p.metrics.record.F)
-            g_monitor_by_rate.append((1.0 / interval, p.monitor_g))
+            g_monitor_by_rate.append((1.0 / interval, p.g("monitor")))
             rows.append(
                 [
                     interval,
                     int(sweeps),
-                    p.monitor_g,
+                    p.g("monitor"),
                     p.metrics.record.G,
                     p.metrics.efficiency,
                     p.metrics.record.F,
@@ -470,14 +232,14 @@ def sweep_report(result: SeriesStudyResult, precision: int = 3) -> str:
 # Exports
 # ---------------------------------------------------------------------------
 
-def export_csv(result: SeriesStudyResult, fh: TextIO) -> int:
+def export_csv(result, fh: TextIO) -> int:
     """Every window of every run as CSV rows; returns the row count."""
     writer = csv.writer(fh)
     writer.writerow(
         ["rms", "scale", "t", "width", "F", "G", "H", "e_inst", "E_cum"]
     )
     n = 0
-    for name, points in result.series.items():
+    for name, points in result.points.items():
         for p in points:
             if p.series is None:
                 continue
@@ -504,36 +266,7 @@ def export_csv(result: SeriesStudyResult, fh: TextIO) -> int:
     return n
 
 
-def export_jsonl(result: SeriesStudyResult, fh: TextIO) -> int:
-    """One JSON line per run (full series payload); returns line count."""
-    n = 0
-    for name, points in result.series.items():
-        for p in points:
-            fh.write(
-                json.dumps(
-                    {
-                        "rms": name,
-                        "scale": p.scale,
-                        "profile": result.profile,
-                        "seed": result.seed,
-                        "monitor": monitor_plan_to_jsonable(result.plan),
-                        "record": {
-                            "F": p.metrics.record.F,
-                            "G": p.metrics.record.G,
-                            "H": p.metrics.record.H,
-                        },
-                        "steady": p.steady,
-                        "series": p.series,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            n += 1
-    return n
-
-
-def export_prometheus(result: SeriesStudyResult, fh: TextIO) -> int:
+def export_prometheus(result, fh: TextIO) -> int:
     """Prometheus text exposition of the study's summary gauges.
 
     One sample per (metric, rms, scale) — the end-of-study snapshot a
@@ -546,12 +279,12 @@ def export_prometheus(result: SeriesStudyResult, fh: TextIO) -> int:
         "repro_useful_work_total": ("counter", lambda p, s: p.metrics.record.F),
         "repro_rms_overhead_total": ("counter", lambda p, s: p.metrics.record.G),
         "repro_rp_overhead_total": ("counter", lambda p, s: p.metrics.record.H),
-        "repro_monitor_overhead_total": ("counter", lambda p, s: p.monitor_g),
+        "repro_monitor_overhead_total": ("counter", lambda p, s: p.g("monitor")),
         "repro_efficiency": ("gauge", lambda p, s: p.metrics.efficiency),
         "repro_steady_efficiency": ("gauge", lambda p, s: s.get("steady_E")),
         "repro_warmup_time": ("gauge", lambda p, s: s.get("warmup_time")),
     }
-    points = [p for pts in result.series.values() for p in pts]
+    points = [p for pts in result.points.values() for p in pts]
     n = 0
     for mname, (mtype, getter) in metrics.items():
         n += write_metric(

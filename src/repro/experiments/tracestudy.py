@@ -1,9 +1,12 @@
-"""Causal-tracing study: ``repro trace``.
+"""Causal-tracing study renderers: ``repro trace``.
 
-Runs the Case-1 scaling path with a :class:`TracePlan` attached to
-every config, so each (RMS, scale) run carries sampled span DAGs and
-per-message-class latency histograms.  On top of the per-run payloads
-this driver renders:
+The study runs the Case-1 scaling path with a :class:`TracePlan`
+attached to every config, so each (RMS, scale) run carries sampled
+span DAGs and per-message-class latency histograms.  It runs through
+the shared plan-study pipeline
+(:func:`~repro.experiments.planstudy.run_plan_study`, kind
+``"trace"``), which checkpoints into ``<cache>/manifests/trace.json``.
+On top of the per-run payloads this module renders:
 
 * per-design **phase-share tables** — every sampled job's turnaround
   decomposed into named critical-path phases (submit wait, scheduler
@@ -17,69 +20,34 @@ this driver renders:
   attrib``'s per-component G(k) slopes;
 * **latency quantiles** — p50/p95/p99 transit delay per message class,
   merged across scales from the bucketed histograms;
-* **exports** — per-phase CSV, per-run JSONL (full trace payloads),
-  and a Prometheus text exposition via the shared
-  :mod:`~repro.telemetry.promexport` path.
-
-All runs go through the engine as one batch (results independent of
-``--jobs``), and the study checkpoints into
-``<cache>/manifests/trace.json`` in the same manifest shape the other
-studies use.
-
-Cache interaction mirrors ``repro series``: a passive plan (zero charge
-rate) shares cache keys with untraced runs by design, so an entry
-cached by an earlier sweep may lack the trace payload.
-:class:`TraceAwareCache` treats such an entry as a miss so the run is
-recomputed (byte-identical by the passive-plan contract) and the entry
-upgraded in place.
+* **exports** — per-phase CSV and a Prometheus text exposition via the
+  shared :mod:`~repro.telemetry.promexport` path (the per-run JSONL is
+  the pipeline's shared :func:`~repro.experiments.planstudy.export_jsonl`).
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
-import math
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, TextIO
+from typing import List, Optional, Sequence, TextIO
 
-from ..rms.registry import rms_names
 from ..telemetry.critpath import (
     PHASES,
-    aggregate_phases,
     growth_ranking,
     latency_quantiles,
     merge_latency,
-    phase_shares,
 )
 from ..telemetry.promexport import attribution_labels, write_metric
-from ..telemetry.tracing import (
-    TracePlan,
-    resolve_trace_plan,
-    trace_plan_to_jsonable,
-)
-from .cases import get_case
-from .config import PROFILES, ScaleProfile, SimulationConfig
-from .parallel.cache import RunCache
-from .parallel.hashing import canonical_json
-from .parallel.manifest import StudyManifest
-from .runner import RunMetrics, run_simulation
+from ..telemetry.tracing import TracePlan, resolve_trace_plan
 from .tabulate import format_table
 
 __all__ = [
     "RESIDUAL_TOLERANCE",
-    "TraceAwareCache",
-    "TraceStudyPoint",
-    "TraceStudyResult",
     "default_trace_plan",
     "export_csv",
-    "export_jsonl",
     "export_prometheus",
-    "run_trace_study",
-    "trace_plan_key",
     "trace_report",
 ]
+
 
 #: absolute tolerance on |fsum(phases) - turnaround| per job.  The
 #: decomposition telescopes, so the only error source is rounding of
@@ -109,216 +77,22 @@ def default_trace_plan(
     )
 
 
-def trace_plan_key(plan: TracePlan) -> str:
-    """A short stable digest of a plan (manifest key component)."""
-    digest = hashlib.sha256(
-        canonical_json(trace_plan_to_jsonable(plan))
-    ).hexdigest()
-    return digest[:12]
-
-
-class TraceAwareCache(RunCache):
-    """A run cache that refuses trace-less hits for traced configs.
-
-    Passive trace plans hash to the same key as untraced runs, so an
-    entry cached by an earlier sweep may lack the trace payload this
-    study needs.  Such an entry is still *valid* — just incomplete for
-    this consumer — so it reads as a miss here: the run is recomputed
-    (byte-identical by the passive-plan contract) and the rewritten
-    entry carries the payload for both consumers.
-    """
-
-    def get(
-        self, config: SimulationConfig, key: Optional[str] = None
-    ) -> Optional[RunMetrics]:
-        metrics = super().get(config, key)
-        if (
-            metrics is not None
-            and metrics.trace is None
-            and config.trace.is_enabled
-        ):
-            self.hits -= 1
-            self.misses += 1
-            return None
-        return metrics
-
-
-@dataclass(frozen=True)
-class TraceStudyPoint:
-    """One (RMS, scale) run with its sampled trace payload."""
-
-    rms: str
-    scale: float
-    metrics: RunMetrics
-
-    @property
-    def trace(self) -> Optional[Dict[str, Any]]:
-        return self.metrics.trace
-
-    @property
-    def phases(self) -> Dict[str, Any]:
-        """The run's phase aggregate (``aggregate_phases`` shape)."""
-        if self.trace is None:
-            return {}
-        return aggregate_phases(self.trace)
-
-    @property
-    def shares(self) -> Dict[str, float]:
-        """Each phase's share of the run's summed turnaround."""
-        agg = self.phases
-        if not agg:
-            return {}
-        return phase_shares(agg["phases"])
-
-    @property
-    def trace_g(self) -> float:
-        """The run's total ``g.trace`` recording overhead."""
-        attribution = self.metrics.attribution or {}
-        return math.fsum(
-            v for k, v in attribution.items() if k.startswith("g.trace")
-        )
-
-
-@dataclass(frozen=True)
-class TraceStudyResult:
-    """Everything ``repro trace`` measured."""
-
-    profile: str
-    seed: int
-    plan: TracePlan
-    #: traffic plan the runs executed under (``None`` means discrete)
-    fluid: Optional[Any] = None
-    #: RMS name -> points in ascending scale order
-    traces: Dict[str, List[TraceStudyPoint]] = field(default_factory=dict)
-    manifest_path: Optional[Path] = None
-
-
-def run_trace_study(
-    profile: str = "ci",
-    rms: Optional[Sequence[str]] = None,
-    seed: int = 7,
-    plan: Optional[TracePlan] = None,
-    sample: Optional[float] = None,
-    charge_rate: Optional[float] = None,
-    max_events: Optional[int] = None,
-    engine=None,
-    manifest_path: "str | Path | None" = None,
-    fluid=None,
-    faults=None,
-) -> TraceStudyResult:
-    """Run the causal-tracing study: Case-1 scaling under a trace plan.
-
-    Parameters
-    ----------
-    plan:
-        Explicit :class:`TracePlan`; when ``None``, the default study
-        plan is resolved (``sample`` / ``charge_rate`` / ``max_events``
-        override its knobs, then ``REPRO_TRACE_*`` env vars, then the
-        trace-everything default).
-    engine:
-        Optional :class:`~repro.experiments.parallel.ExperimentEngine`;
-        all runs go through it as **one** batch, so worker count cannot
-        affect results.  Pair it with :class:`TraceAwareCache` so
-        trace-less cache entries are upgraded rather than served.
-    manifest_path:
-        When given, each design's points are checkpointed there in the
-        study-manifest shape the other study commands read.
-    fluid:
-        Optional :class:`~repro.fluid.plan.FluidPlan` applied to every
-        run — tracing composes with the fluid traffic mode (job-plane
-        messages stay discrete there, so span DAGs are unchanged).
-    faults:
-        Optional :class:`~repro.faults.plan.FaultPlan` applied to every
-        run — crash/recovery paths then show up as ``recovery_wait``.
-    """
-    prof = PROFILES[profile] if isinstance(profile, str) else profile
-    names = list(rms) if rms else rms_names()
-    if plan is None:
-        plan = default_trace_plan(
-            sample=sample, charge_rate=charge_rate, max_events=max_events
-        )
-    case = get_case(1)
-
-    configs = [
-        case.config_for(
-            name, k, prof, seed=seed, trace=plan, fluid=fluid, faults=faults
-        )
-        for name in names
-        for k in prof.scales
-    ]
-    if engine is not None:
-        metrics_list = engine.run_many(configs)
-    else:
-        metrics_list = [run_simulation(c) for c in configs]
-
-    it = iter(metrics_list)
-    traces: Dict[str, List[TraceStudyPoint]] = {}
-    for name in names:
-        traces[name] = [
-            TraceStudyPoint(rms=name, scale=float(k), metrics=next(it))
-            for k in prof.scales
-        ]
-
-    result = TraceStudyResult(
-        profile=prof.name,
-        seed=seed,
-        plan=plan,
-        fluid=fluid,
-        traces=traces,
-        manifest_path=Path(manifest_path) if manifest_path else None,
-    )
-    if result.manifest_path is not None:
-        _write_manifest(result)
-    return result
-
-
-def _write_manifest(result: TraceStudyResult) -> None:
-    """Checkpoint the study in the shared study-manifest shape."""
-    manifest = StudyManifest(result.manifest_path)
-    digest = trace_plan_key(result.plan)
-    fluid = ""
-    if result.fluid is not None and getattr(result.fluid, "is_fluid", False):
-        fluid = f":fluid{result.fluid.mode}-fan{result.fluid.aggregator_fanout}"
-    for name, points in result.traces.items():
-        key = f"{result.profile}:seed{result.seed}:trace{digest}{fluid}:case1:{name}"
-        payload = {
-            "trace_plan": trace_plan_to_jsonable(result.plan),
-            "result": {
-                "points": [
-                    {
-                        "scale": p.scale,
-                        "record": {
-                            "F": p.metrics.record.F,
-                            "G": p.metrics.record.G,
-                            "H": p.metrics.record.H,
-                        },
-                        "attribution": p.metrics.attribution or {},
-                        "phases": p.phases,
-                        "shares": p.shares,
-                    }
-                    for p in points
-                ]
-            },
-        }
-        manifest.mark_done(key, payload)
-
-
 # ---------------------------------------------------------------------------
 # Report
 # ---------------------------------------------------------------------------
 
-def _present_phases(points: Sequence[TraceStudyPoint]) -> List[str]:
+def _present_phases(points: Sequence) -> List[str]:
     """Phases that occur anywhere across the points, in canonical order."""
     seen = {name for p in points for name in p.phases.get("phases", {})}
     return [name for name in PHASES if name in seen]
 
 
-def trace_report(result: TraceStudyResult, precision: int = 3) -> str:
+def trace_report(result, precision: int = 3) -> str:
     """Render the study: per-design phase-share tables, the telescoping
     invariant, the share-growth ranking, and latency quantiles."""
     plan = result.plan
     parts: List[str] = [
-        f"trace plan {trace_plan_key(plan)}: "
+        f"trace plan {result.digest}: "
         f"sample={plan.sample:g}, charge_rate={plan.charge_rate:g}, "
         f"max_events={plan.max_events} "
         f"(profile {result.profile}, seed {result.seed})"
@@ -327,7 +101,7 @@ def trace_report(result: TraceStudyResult, precision: int = 3) -> str:
     worst_residual = 0.0
     total_sampled = 0
     total_dropped = 0
-    for name, points in result.traces.items():
+    for name, points in result.points.items():
         columns = _present_phases(points)
         rows = []
         growth_points = []
@@ -345,7 +119,7 @@ def trace_report(result: TraceStudyResult, precision: int = 3) -> str:
             rows.append(
                 [p.scale, agg["jobs"], agg["incomplete"]]
                 + [shares.get(c, 0.0) for c in columns]
-                + [p.trace_g]
+                + [p.g("trace")]
             )
         parts.append(f"\n{name} — phase shares of turnaround per scale:")
         parts.append(
@@ -392,14 +166,14 @@ def trace_report(result: TraceStudyResult, precision: int = 3) -> str:
 # Exports
 # ---------------------------------------------------------------------------
 
-def export_csv(result: TraceStudyResult, fh: TextIO) -> int:
+def export_csv(result, fh: TextIO) -> int:
     """One CSV row per (rms, scale, phase); returns the row count."""
     writer = csv.writer(fh)
     writer.writerow(
         ["rms", "scale", "jobs", "incomplete", "phase", "seconds", "share"]
     )
     n = 0
-    for name, points in result.traces.items():
+    for name, points in result.points.items():
         for p in points:
             agg = p.phases
             if not agg:
@@ -423,44 +197,14 @@ def export_csv(result: TraceStudyResult, fh: TextIO) -> int:
     return n
 
 
-def export_jsonl(result: TraceStudyResult, fh: TextIO) -> int:
-    """One JSON line per run (full trace payload); returns line count."""
-    n = 0
-    for name, points in result.traces.items():
-        for p in points:
-            fh.write(
-                json.dumps(
-                    {
-                        "rms": name,
-                        "scale": p.scale,
-                        "profile": result.profile,
-                        "seed": result.seed,
-                        "trace_plan": trace_plan_to_jsonable(result.plan),
-                        "record": {
-                            "F": p.metrics.record.F,
-                            "G": p.metrics.record.G,
-                            "H": p.metrics.record.H,
-                        },
-                        "phases": p.phases,
-                        "shares": p.shares,
-                        "trace": p.trace,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            n += 1
-    return n
-
-
-def export_prometheus(result: TraceStudyResult, fh: TextIO) -> int:
+def export_prometheus(result, fh: TextIO) -> int:
     """Prometheus text exposition of the study's summary samples.
 
     Phase seconds and shares per (rms, scale), the ``g.trace``
     recording overhead with its attribution labels, and per-message-
     class latency quantiles.  Returns the sample count.
     """
-    points = [p for pts in result.traces.values() for p in pts]
+    points = [p for pts in result.points.values() for p in pts]
     n = 0
     n += write_metric(
         fh,

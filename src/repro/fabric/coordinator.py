@@ -529,7 +529,10 @@ class FabricEngine(ExperimentEngine):
     inherited unchanged, which is the structural half of the
     byte-identity contract (the other half is determinism of the runs
     themselves).  Cache writes therefore happen exactly once,
-    coordinator-side, per unique key.
+    coordinator-side, per unique run.  The lease keys are the engine's
+    batch identities, so two misses that share a cache key under
+    different passive plans get a lease each instead of colliding on
+    the board.
     """
 
     def __init__(self, coordinator: Coordinator, cache=None, jobs=None) -> None:

@@ -15,7 +15,7 @@ from .entity import ChargeSink, Entity, MessageServer
 from .kernel import SimulationError, Simulator
 from .monitor import Counter, Tally, TimeWeighted
 from .rng import RngHub
-from .trace import TraceRecord, TraceRecorder, busy_gantt, job_timeline
+from .trace import busy_gantt, job_timeline
 
 __all__ = [
     "ChargeSink",
@@ -27,8 +27,6 @@ __all__ = [
     "Simulator",
     "Tally",
     "TimeWeighted",
-    "TraceRecord",
-    "TraceRecorder",
     "busy_gantt",
     "job_timeline",
 ]

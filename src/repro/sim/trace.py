@@ -1,101 +1,19 @@
-"""Execution tracing and timeline inspection.
+"""Timeline inspection of finished jobs.
 
-Debugging a protocol interaction ("why did this job miss its bound?")
-needs more than aggregate counters.  :class:`TraceRecorder` hooks the
-simulator's trace callback and keeps a bounded ring of executed events;
 :func:`job_timeline` reconstructs one job's life as human-readable
 lines; :func:`busy_gantt` renders resources' busy periods as a text
-Gantt chart.  All of it is optional tooling — nothing in the hot path
-changes unless a recorder is attached.
+Gantt chart.  Both work from the jobs' recorded state, so nothing in
+the hot path changes.  A ring of executed kernel events is the flight
+recorder's job (:meth:`~repro.telemetry.flightrec.FlightRecorder.chain_kernel_trace`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from ..grid.jobs import Job
-from .kernel import Simulator
 
-__all__ = ["TraceRecord", "TraceRecorder", "job_timeline", "busy_gantt"]
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One executed event: time, callback name, argument summary."""
-
-    time: float
-    callback: str
-    summary: str
-
-
-class TraceRecorder:
-    """Bounded ring buffer of executed simulation events.
-
-    Recorders chain: attaching saves whatever ``sim.trace`` callback was
-    already installed, forwards every event to it, and :meth:`detach`
-    restores it — so stacking a second observer never silences the
-    first.  Detach in LIFO order; a recorder that is not the innermost
-    observer ignores :meth:`detach` (its caller will restore it).
-
-    Parameters
-    ----------
-    sim:
-        Simulator to attach to (sets ``sim.trace``).
-    capacity:
-        Maximum retained records (oldest evicted first).
-    predicate:
-        Optional filter ``(time, fn, args) -> bool``; only matching
-        events are recorded (forwarding to a chained observer is not
-        filtered).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: int = 10_000,
-        predicate: Optional[Callable] = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._records: Deque[TraceRecord] = deque(maxlen=capacity)
-        self._predicate = predicate
-        self.dropped = 0
-        self._previous = sim.trace
-        sim.trace = self._on_event
-
-    def _on_event(self, time: float, fn, args) -> None:
-        if self._previous is not None:
-            self._previous(time, fn, args)
-        if self._predicate is not None and not self._predicate(time, fn, args):
-            return
-        if len(self._records) == self._records.maxlen:
-            self.dropped += 1
-        name = getattr(fn, "__qualname__", getattr(fn, "__name__", repr(fn)))
-        summary = ", ".join(self._summarize(a) for a in args[:3])
-        self._records.append(TraceRecord(time=time, callback=name, summary=summary))
-
-    @staticmethod
-    def _summarize(arg) -> str:
-        text = repr(arg)
-        return text if len(text) <= 60 else text[:57] + "..."
-
-    @property
-    def records(self) -> List[TraceRecord]:
-        """The retained records, oldest first."""
-        return list(self._records)
-
-    def matching(self, needle: str) -> List[TraceRecord]:
-        """Records whose callback or summary contains ``needle``."""
-        return [
-            r for r in self._records if needle in r.callback or needle in r.summary
-        ]
-
-    def detach(self, sim: Simulator) -> None:
-        """Stop recording, restoring the previously installed callback."""
-        if sim.trace == self._on_event:
-            sim.trace = self._previous
+__all__ = ["job_timeline", "busy_gantt"]
 
 
 def job_timeline(job: Job) -> List[str]:

@@ -153,7 +153,8 @@ class FlightRecorder:
         """A ``Simulator.trace`` callback feeding the kernel ring.
 
         Chains to (rather than replaces) any already-installed trace
-        callback, preserving e.g. a :class:`~repro.sim.trace.TraceRecorder`.
+        callback, so an observer set on ``sim.trace`` before this one
+        keeps receiving every event.
         """
         append = self._kernel.append
         if existing is None:

@@ -384,7 +384,8 @@ class TestFaultStudy:
     def test_study_runs_and_writes_attrib_manifest(self, tmp_path):
         from repro.experiments.attrib import points_from_manifest
         from repro.experiments.config import ScaleProfile
-        from repro.experiments.faultstudy import fault_report, run_fault_study
+        from repro.experiments.faultstudy import fault_report
+        from repro.experiments.planstudy import run_plan_study
 
         manifest = tmp_path / "faults.json"
         # the real profiles are heavyweight; a miniature one keeps this
@@ -401,15 +402,16 @@ class TestFaultStudy:
             scales=(1, 2),
             sa_iterations=1,
         )
-        result = run_fault_study(
+        result = run_plan_study(
+            "faults",
+            FaultPlan(resource_mttf=500.0, resource_mttr=60.0),
             profile=tiny,
             rms=["LOWEST"],
-            plan=FaultPlan(resource_mttf=500.0, resource_mttr=60.0),
             manifest_path=manifest,
         )
-        points = result.series["LOWEST"]
+        points = result.points["LOWEST"]
         assert [p.scale for p in points] == [1.0, 2.0]
-        assert all(p.faults_g > 0 for p in points)
+        assert all(p.g("faults") > 0 for p in points)
         report = fault_report(result)
         assert "G:faults" in report and "LOWEST" in report
         loaded = points_from_manifest(manifest)

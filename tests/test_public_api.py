@@ -47,7 +47,9 @@ MODULES = PACKAGES + [
     "repro.experiments.cliargs",
     "repro.experiments.config",
     "repro.experiments.faultstudy",
+    "repro.experiments.planstudy",
     "repro.experiments.seriesstudy",
+    "repro.experiments.tracestudy",
     "repro.experiments.tabulate",
     "repro.experiments.watch",
     "repro.faults.injector",

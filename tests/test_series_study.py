@@ -21,12 +21,8 @@ from repro.experiments import SimulationConfig, run_simulation
 from repro.experiments.parallel import ExperimentEngine, metrics_json_bytes
 from repro.experiments.parallel.cache import RunCache, metrics_to_jsonable
 from repro.experiments.parallel.hashing import config_key
-from repro.experiments.seriesstudy import (
-    SeriesAwareCache,
-    run_series_study,
-    series_report,
-    sweep_report,
-)
+from repro.experiments.planstudy import run_plan_study
+from repro.experiments.seriesstudy import series_report, sweep_report
 from repro.telemetry.timeseries import MonitorPlan, steady_state
 
 
@@ -163,12 +159,14 @@ class TestSweepMonotonicity:
 
 
 class TestSeriesAwareCache:
+    """``RunCache`` serves a monitored config only an entry with its stream."""
+
     def test_series_less_hit_reads_as_miss_and_upgrades(self, tmp_path):
         base = small_config()
         with ExperimentEngine(jobs=1, cache=RunCache(tmp_path)) as engine:
             engine.run(base)  # cache an unmonitored (series-less) entry
 
-        cache = SeriesAwareCache(tmp_path)
+        cache = RunCache(tmp_path)
         monitored = replace(base, monitor=PASSIVE)
         with ExperimentEngine(jobs=1, cache=cache) as engine:
             m = engine.run(monitored)
@@ -176,7 +174,7 @@ class TestSeriesAwareCache:
         assert cache.misses >= 1
 
         # the rewritten entry now carries the stream: second read hits
-        cache2 = SeriesAwareCache(tmp_path)
+        cache2 = RunCache(tmp_path)
         with ExperimentEngine(jobs=1, cache=cache2) as engine:
             again = engine.run(monitored)
         assert again.series is not None
@@ -185,10 +183,10 @@ class TestSeriesAwareCache:
 
     def test_plain_configs_unaffected(self, tmp_path):
         base = small_config()
-        cache = SeriesAwareCache(tmp_path)
+        cache = RunCache(tmp_path)
         with ExperimentEngine(jobs=1, cache=cache) as engine:
             engine.run(base)
-        cache2 = SeriesAwareCache(tmp_path)
+        cache2 = RunCache(tmp_path)
         with ExperimentEngine(jobs=1, cache=cache2) as engine:
             engine.run(base)
         assert cache2.hits == 1
@@ -200,11 +198,12 @@ class TestStudyDriver:
         root = tmp_path_factory.mktemp("series-study")
         manifest = root / "manifests" / "series.json"
         plan = MonitorPlan(series=True, probe_interval=60.0, charge_rate=0.01)
-        with ExperimentEngine(jobs=1, cache=SeriesAwareCache(root)) as engine:
-            result = run_series_study(
+        with ExperimentEngine(jobs=1, cache=RunCache(root)) as engine:
+            result = run_plan_study(
+                "series",
+                plan,
                 profile="ci",
                 rms=["LOWEST", "CENTRAL"],
-                plan=plan,
                 sweep_intervals=[120.0],
                 engine=engine,
                 manifest_path=manifest,
@@ -212,7 +211,7 @@ class TestStudyDriver:
         return result
 
     def test_points_carry_series_and_steady(self, study):
-        for name, points in study.series.items():
+        for name, points in study.points.items():
             assert len(points) >= 2
             for p in points:
                 assert p.series is not None
@@ -225,7 +224,7 @@ class TestStudyDriver:
         from repro.experiments.attrib import check_conservation, points_from_manifest
 
         points = points_from_manifest(study.manifest_path)
-        assert len(points) == sum(len(v) for v in study.series.values())
+        assert len(points) == sum(len(v) for v in study.points.values())
         for p in points:
             assert check_conservation(p) == []
 

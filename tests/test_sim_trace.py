@@ -1,114 +1,10 @@
-"""Tests for tracing and timeline tooling."""
+"""Tests for the job timeline and busy-Gantt tooling."""
 
 import pytest
 
-from repro.sim import Simulator
-from repro.sim.trace import TraceRecorder, busy_gantt, job_timeline
+from repro.sim.trace import busy_gantt, job_timeline
 
 from helpers import make_job
-
-
-class TestTraceRecorder:
-    def test_records_executed_events(self):
-        sim = Simulator()
-        rec = TraceRecorder(sim)
-
-        def tick(x):
-            pass
-
-        sim.schedule(1.0, tick, 42)
-        sim.schedule(2.0, tick, 43)
-        sim.run()
-        assert len(rec.records) == 2
-        assert rec.records[0].time == 1.0
-        assert "tick" in rec.records[0].callback
-        assert "42" in rec.records[0].summary
-
-    def test_capacity_ring(self):
-        sim = Simulator()
-        rec = TraceRecorder(sim, capacity=3)
-        for i in range(6):
-            sim.schedule(float(i), lambda: None)
-        sim.run()
-        assert len(rec.records) == 3
-        assert rec.dropped == 3
-        assert rec.records[0].time == 3.0  # oldest retained
-
-    def test_predicate_filters(self):
-        sim = Simulator()
-        rec = TraceRecorder(sim, predicate=lambda t, fn, args: t >= 5.0)
-        for i in range(10):
-            sim.schedule(float(i), lambda: None)
-        sim.run()
-        assert all(r.time >= 5.0 for r in rec.records)
-        assert len(rec.records) == 5
-
-    def test_matching(self):
-        sim = Simulator()
-        rec = TraceRecorder(sim)
-
-        def alpha():
-            pass
-
-        def beta():
-            pass
-
-        sim.schedule(1.0, alpha)
-        sim.schedule(2.0, beta)
-        sim.run()
-        assert len(rec.matching("alpha")) == 1
-
-    def test_detach(self):
-        sim = Simulator()
-        rec = TraceRecorder(sim)
-        rec.detach(sim)
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert rec.records == []
-
-    def test_bad_capacity(self):
-        with pytest.raises(ValueError):
-            TraceRecorder(Simulator(), capacity=0)
-
-    def test_attach_chains_existing_callback(self):
-        sim = Simulator()
-        seen = []
-        sim.trace = lambda t, fn, args: seen.append(t)
-        rec = TraceRecorder(sim)
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        # both the prior callback and the recorder observe the event
-        assert seen == [1.0]
-        assert len(rec.records) == 1
-
-    def test_detach_restores_previous_callback(self):
-        sim = Simulator()
-        seen = []
-        previous = lambda t, fn, args: seen.append(t)
-        sim.trace = previous
-        rec = TraceRecorder(sim)
-        rec.detach(sim)
-        assert sim.trace is previous
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert seen == [1.0]
-        assert rec.records == []
-
-    def test_stacked_recorders_detach_lifo(self):
-        sim = Simulator()
-        first = TraceRecorder(sim)
-        second = TraceRecorder(sim)
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert len(first.records) == 1 and len(second.records) == 1
-        second.detach(sim)
-        assert sim.trace == first._on_event
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        assert len(first.records) == 2
-        assert len(second.records) == 1
-        first.detach(sim)
-        assert sim.trace is None
 
 
 class TestJobTimeline:

@@ -1,6 +1,6 @@
 """Integration tests for the causal-tracing study (``repro trace``).
 
-Covers the trace-aware cache upgrade path, the study driver (one
+Covers the run cache's trace-payload upgrade path, the study driver (one
 engine batch, manifest checkpointing in the shared study shape, the
 telescoping invariant across every point), the report's grep-able
 verdict lines, the CSV/JSONL/Prometheus exports, and the CLI plumbing
@@ -16,15 +16,12 @@ import pytest
 from repro.experiments import SimulationConfig
 from repro.experiments.parallel import ExperimentEngine, metrics_json_bytes
 from repro.experiments.parallel.cache import RunCache
+from repro.experiments.planstudy import export_jsonl, plan_digest, run_plan_study
 from repro.experiments.tracestudy import (
     RESIDUAL_TOLERANCE,
-    TraceAwareCache,
     default_trace_plan,
     export_csv,
-    export_jsonl,
     export_prometheus,
-    run_trace_study,
-    trace_plan_key,
     trace_report,
 )
 from repro.telemetry.tracing import ENV_SAMPLE, TracePlan
@@ -54,19 +51,21 @@ class TestDefaultPlan:
 
     def test_plan_key_is_a_stable_digest(self):
         plan = TracePlan(sample=0.5, charge_rate=0.01)
-        key = trace_plan_key(plan)
-        assert key == trace_plan_key(TracePlan(sample=0.5, charge_rate=0.01))
+        key = plan_digest("trace", plan)
+        assert key == plan_digest("trace", TracePlan(sample=0.5, charge_rate=0.01))
         assert len(key) == 12 and int(key, 16) >= 0
-        assert key != trace_plan_key(PASSIVE)
+        assert key != plan_digest("trace", PASSIVE)
 
 
 class TestTraceAwareCache:
+    """``RunCache`` serves a traced config only an entry with its trace."""
+
     def test_trace_less_hit_reads_as_miss_and_upgrades(self, tmp_path):
         base = small_config()
         with ExperimentEngine(jobs=1, cache=RunCache(tmp_path)) as engine:
             engine.run(base)  # cache an untraced (trace-less) entry
 
-        cache = TraceAwareCache(tmp_path)
+        cache = RunCache(tmp_path)
         traced = replace(base, trace=PASSIVE)
         with ExperimentEngine(jobs=1, cache=cache) as engine:
             m = engine.run(traced)
@@ -74,7 +73,7 @@ class TestTraceAwareCache:
         assert cache.misses >= 1
 
         # the rewritten entry now carries the payload: second read hits
-        cache2 = TraceAwareCache(tmp_path)
+        cache2 = RunCache(tmp_path)
         with ExperimentEngine(jobs=1, cache=cache2) as engine:
             again = engine.run(traced)
         assert again.trace is not None
@@ -83,10 +82,10 @@ class TestTraceAwareCache:
 
     def test_plain_configs_unaffected(self, tmp_path):
         base = small_config()
-        cache = TraceAwareCache(tmp_path)
+        cache = RunCache(tmp_path)
         with ExperimentEngine(jobs=1, cache=cache) as engine:
             engine.run(base)
-        cache2 = TraceAwareCache(tmp_path)
+        cache2 = RunCache(tmp_path)
         with ExperimentEngine(jobs=1, cache=cache2) as engine:
             engine.run(base)
         assert cache2.hits == 1
@@ -98,18 +97,19 @@ class TestStudyDriver:
         root = tmp_path_factory.mktemp("trace-study")
         manifest = root / "manifests" / "trace.json"
         plan = TracePlan(sample=1.0, charge_rate=0.01)
-        with ExperimentEngine(jobs=1, cache=TraceAwareCache(root)) as engine:
-            result = run_trace_study(
+        with ExperimentEngine(jobs=1, cache=RunCache(root)) as engine:
+            result = run_plan_study(
+                "trace",
+                plan,
                 profile="ci",
                 rms=["LOWEST", "CENTRAL"],
-                plan=plan,
                 engine=engine,
                 manifest_path=manifest,
             )
         return result
 
     def test_points_carry_traces_and_decompose(self, study):
-        for name, points in study.traces.items():
+        for name, points in study.points.items():
             assert len(points) >= 2
             for p in points:
                 assert p.trace is not None and p.trace["sampled"] > 0
@@ -117,7 +117,7 @@ class TestStudyDriver:
                 assert agg["jobs"] > 0
                 assert agg["max_residual"] <= RESIDUAL_TOLERANCE
                 assert math.fsum(p.shares.values()) == pytest.approx(1.0)
-                assert p.trace_g > 0.0  # the active plan charged g.trace
+                assert p.g("trace") > 0.0  # the active plan charged g.trace
 
     def test_report_carries_the_verdict_lines(self, study):
         text = trace_report(study)
@@ -131,7 +131,7 @@ class TestStudyDriver:
         from repro.experiments.attrib import check_conservation, points_from_manifest
 
         points = points_from_manifest(study.manifest_path)
-        assert len(points) == sum(len(v) for v in study.traces.values())
+        assert len(points) == sum(len(v) for v in study.points.values())
         for p in points:
             assert check_conservation(p) == []
 
@@ -155,7 +155,7 @@ class TestStudyDriver:
         with open(path, "w") as fh:
             n = export_jsonl(study, fh)
         lines = path.read_text().splitlines()
-        assert n == len(lines) == sum(len(v) for v in study.traces.values())
+        assert n == len(lines) == sum(len(v) for v in study.points.values())
         row = json.loads(lines[0])
         assert row["trace"]["sampled"] > 0
         assert set(row["record"]) == {"F", "G", "H"}
